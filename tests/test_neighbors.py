@@ -2,10 +2,60 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
-from nnentropy import BRUTE_FORCE_DIMENSION, InsufficientPointsError, knn_all, knn_query
+from nnentropy import InsufficientPointsError, empirical_copula, knn_all, knn_query, neighbors
 
 from .oracles import brute_knn
+
+
+def assert_matches_scan(X, k):
+    """kd-tree (both worker counts) == exhaustive scan bitwise == oracle."""
+    idx_b, len_b = knn_all(X, k, method="brute")
+    for method, workers in (("auto", -1), ("kdtree", 1)):
+        idx, lengths = knn_all(X, k, method=method, workers=workers)
+        assert np.array_equal(idx, idx_b)
+        assert lengths.tobytes() == len_b.tobytes()
+    ref_idx, ref_dist = brute_knn(X, k)
+    assert np.array_equal(idx_b, ref_idx)
+    assert np.allclose(len_b, ref_dist, rtol=1e-12, atol=0.0)
+
+
+def _duplicate_piles(rng):
+    # Piles of 12 and 5 (= k + 1) copies beside pairs, triples and singletons.
+    sites = rng.random((8, 2))
+    return np.repeat(sites, [12, 5, 3, 2, 2, 1, 1, 1], axis=0)
+
+
+def _integer_grid(rng):
+    return rng.integers(0, 10, size=(400, 2)).astype(float)
+
+
+def _rounded_gaussian_copula(rng):
+    cov = np.full((3, 3), 0.5)
+    np.fill_diagonal(cov, 1.0)
+    sample = rng.standard_normal((800, 3)) @ np.linalg.cholesky(cov).T
+    return empirical_copula(np.round(sample, 1)).points
+
+
+def _duplicated_rows(d):
+    def build(rng):
+        rows = rng.standard_normal((120, d))
+        return rng.permutation(np.repeat(rows, rng.integers(1, 5, size=120), axis=0))
+
+    return build
+
+
+TIE_HEAVY = {
+    "duplicate-piles": _duplicate_piles,
+    "integer-grid": _integer_grid,
+    "rounded-gaussian-copula": _rounded_gaussian_copula,
+    "d25-duplicated-rows": _duplicated_rows(25),
+    "d60-duplicated-rows": _duplicated_rows(60),
+}
 
 
 def test_knn_query_line_example():
@@ -41,11 +91,38 @@ def test_exact_ties_break_by_ascending_index():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_kdtree_and_brute_agree_bitwise(d):
     rng = np.random.default_rng(100 + d)
-    X = rng.random((300, d))
-    idx_b, len_b = knn_all(X, 5, method="brute")
-    idx_k, len_k = knn_all(X, 5, method="kdtree")
-    assert np.array_equal(idx_b, idx_k)
-    assert np.array_equal(len_b, len_k)
+    assert_matches_scan(rng.random((300, d)), 5)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("case", TIE_HEAVY)
+def test_tie_heavy_inputs_match_scan(case, k):
+    X = TIE_HEAVY[case](np.random.default_rng(7))
+    assert_matches_scan(X, k)
+
+
+def test_tie_resolution_in_small_chunks(monkeypatch):
+    # A budget below one ball's size puts every distinct point in its own chunk.
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 40)
+    assert_matches_scan(_integer_grid(np.random.default_rng(8)), 3)
+
+
+def test_undersized_balls_are_widened():
+    X = _rounded_gaussian_copula(np.random.default_rng(4))
+    rows = np.arange(0, len(X), 7)
+    idx, lengths = neighbors._resolve_ties(cKDTree(X), X, rows, np.zeros(rows.size), 3)
+    idx_b, len_b = knn_all(X, 3, method="brute")
+    assert np.array_equal(idx, idx_b[rows])
+    assert lengths.tobytes() == len_b[rows].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 21])
+@given(data=st.data())
+def test_small_integer_inputs_match_scan(d, data):
+    k = data.draw(st.integers(1, 5), label="k")
+    n = data.draw(st.integers(k + 1, 40), label="n")
+    X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
+    assert_matches_scan(X, k)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -67,14 +144,8 @@ def test_worker_count_does_not_change_output():
     assert np.array_equal(len1, len2)
 
 
-def test_high_dimension_falls_back_to_scan():
-    d = BRUTE_FORCE_DIMENSION + 1
-    rng = np.random.default_rng(9)
-    X = rng.random((60, d))
-    idx_auto, len_auto = knn_all(X, 3, method="auto")
-    idx_b, len_b = knn_all(X, 3, method="brute")
-    assert np.array_equal(idx_auto, idx_b)
-    assert np.array_equal(len_auto, len_b)
+def test_auto_matches_scan_at_21_dimensions():
+    assert_matches_scan(np.random.default_rng(9).random((60, 21)), 3)
 
 
 def test_k_bounds():
