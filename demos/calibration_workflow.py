@@ -3,10 +3,10 @@
 The entropy estimator divides the edge-length sum by gamma * n^(1 - p/d),
 where gamma is the limit of that ratio on uniform samples. The constant
 depends only on (d, p, S), so it is estimated once by Monte Carlo and
-cached. For a single neighbor rank there is also a closed form, which
-makes a good cross-check: the Monte-Carlo value drifts toward it as the
-calibration sample grows (finite-size bias shrinks roughly like a power
-of n_cal — compare the bias column below).
+cached. It also has a closed form (for a rank set S, the single-rank
+constants summed over S), which makes a good cross-check: the Monte-Carlo
+value drifts toward it as the calibration sample grows (finite-size bias
+shrinks roughly like a power of n_cal — compare the bias column below).
 """
 
 import tempfile

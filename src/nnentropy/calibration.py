@@ -2,9 +2,10 @@
 
 The entropy estimator divides the graph functional by ``gamma * n^(1-p/d)``
 where ``gamma`` is the limit of ``L_p / n^(1-p/d)`` on uniform unit-cube
-samples. The limit depends on ``(d, p, S)`` only. For single-rank specs a
-closed form exists (:func:`gamma_analytic`); in general the constant is
-estimated by Monte Carlo (:func:`estimate_gamma`) and can be cached on disk
+samples. The limit depends on ``(d, p, S)`` only. It has a closed form for
+every rank set: the single-rank constant :func:`gamma_analytic`, summed
+over the ranks in ``S``. The constant can also be estimated by Monte Carlo
+(:func:`estimate_gamma`), and such estimates can be cached on disk
 (:class:`GammaCache`).
 """
 
@@ -89,9 +90,7 @@ class GammaEstimate:
             raise ValueError(f"std_error must be nonnegative and finite, got {self.std_error}")
 
 
-def estimate_gamma(
-    key: GammaKey, seed: int = 0, method: str = "auto", workers: int = -1
-) -> GammaEstimate:
+def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEstimate:
     """Monte-Carlo estimate of the graph constant for ``key``.
 
     Draws ``key.reps`` independent uniform samples of size ``key.n_cal`` on
@@ -108,7 +107,7 @@ def estimate_gamma(
     for r, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         pts = rng.random((key.n_cal, key.d))
-        graph = build_nn_graph(pts, key.spec, method=method, workers=workers)
+        graph = build_nn_graph(pts, key.spec, workers=workers)
         values[r] = l_p(graph, key.p) / scale
     mean = float(values.mean())
     if key.reps > 1:
@@ -126,7 +125,9 @@ def gamma_analytic(d: int, p: float, k: int) -> float:
     equating the graph-based entropy estimator with the classical
     single-rank form whose normalization is known in closed form, and it
     matches :func:`estimate_gamma` in the large-sample limit (the two are
-    mutual cross-checks). No closed form is known for multi-rank specs.
+    mutual cross-checks). The functional of a rank set ``S`` is the sum of
+    its single-rank functionals edge by edge, so the constant of ``S`` is
+    the sum of this constant over ``k`` in ``S``.
 
     Parameters
     ----------
@@ -251,24 +252,12 @@ class GammaCache:
                 return self._to_estimate(rec, key)
         return None
 
-    def store(self, estimate: GammaEstimate) -> None:
-        """Append an estimate to the cache."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0, os.SEEK_END)
-                fh.write(self._record_line(estimate))
-                fh.flush()
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
     @staticmethod
     def _record_line(est: GammaEstimate) -> str:
         return json.dumps(estimate_record(est)) + "\n"
 
     def get_or_compute(
-        self, key: GammaKey, seed: int = 0, method: str = "auto", workers: int = -1
+        self, key: GammaKey, seed: int = 0, workers: int = -1
     ) -> tuple[GammaEstimate, bool]:
         """Return ``(estimate, was_hit)``; compute and persist on a miss.
 
@@ -279,7 +268,7 @@ class GammaCache:
         hit = self.lookup(key)
         if hit is not None:
             return hit, True
-        est = estimate_gamma(key, seed=seed, method=method, workers=workers)
+        est = estimate_gamma(key, seed=seed, workers=workers)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+", encoding="utf-8") as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)

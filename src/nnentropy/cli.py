@@ -214,28 +214,9 @@ def cmd_isa(args) -> None:
 
 
 def cmd_diagnostics(args) -> None:
-    quick = bool(args.quick)
-    seed = args.seed
-    if args.grid:
-        grid = _load_json(args.grid, "diagnostics grid")
-        unknown = set(grid) - {"quick", "seed"}
-        if unknown:
-            raise DataFormatError(f"{args.grid}: unknown grid keys: {sorted(unknown)}")
-        if "quick" in grid:
-            if not isinstance(grid["quick"], bool):
-                raise DataFormatError(f"{args.grid}: 'quick' must be a boolean")
-            quick = quick or grid["quick"]
-        if "seed" in grid:
-            if not isinstance(grid["seed"], int) or isinstance(grid["seed"], bool):
-                raise DataFormatError(f"{args.grid}: 'seed' must be an integer")
-            if seed is None:
-                seed = grid["seed"]
-    seed = 0 if seed is None else seed
-    summary = run_diagnostics(seed=seed, quick=quick)
-    _emit(
-        {"tool_version": __version__, "seed": seed, "quick": quick, **summary.to_dict()},
-        out=args.out,
-    )
+    summary = run_diagnostics(seed=args.seed, quick=args.quick)
+    payload = {"tool_version": __version__, "seed": args.seed, "quick": args.quick}
+    _emit({**payload, **summary.to_dict()}, out=args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         est.add_argument("--S", type=_parse_ranks, default=NeighborSpec((1, 2, 3)),
                          help="neighbor ranks, e.g. 1,2,3 (default)")
         est.add_argument("--gamma", type=_parse_gamma, default=None,
-                         help='normalizing constant: a number or "analytic" (single-rank S only)')
+                         help='normalizing constant: a number or "analytic" (closed form)')
         est.add_argument("--cache", help="gamma cache file used when --gamma is not given")
         est.add_argument("--seed", type=int, default=0,
                          help="seed for on-the-fly calibration (default 0)")
@@ -312,10 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser(
         "diagnostics", parents=[common], help="run the structural checks"
     )
-    diag.add_argument("--grid", help='grid JSON; keys "quick" and "seed"')
     diag.add_argument("--out", help="also write the report JSON here")
     diag.add_argument("--quick", action="store_true", help="one representative cell per check")
-    diag.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    diag.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     diag.set_defaults(func=cmd_diagnostics)
 
     return parser

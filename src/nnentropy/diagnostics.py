@@ -28,6 +28,7 @@ import numpy as np
 
 from .graph import build_boundary_graph, build_nn_graph, l_p
 from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set
+from .samplers import _as_seed_sequence
 
 __all__ = [
     "SURVEYED",
@@ -74,12 +75,6 @@ def _validate_p(p, d) -> float:
     if not 0.0 < p < d:
         raise ValueError(f"p must satisfy 0 < p < d = {d}, got {p}")
     return p
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ def check_growth_and_indegree(
     bound = indegree_c * spec.k
     max_indegree = 0
     ratios = []
-    streams = _seed_sequence(seed).spawn(len(sizes) * trials)
+    streams = _as_seed_sequence(seed).spawn(len(sizes) * trials)
     for si, size in enumerate(sizes):
         best = -math.inf
         for t in range(trials):
@@ -396,7 +391,7 @@ def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0, bound=None)
     bound = SURVEYED["add_one"] if bound is None else float(bound)
 
     small, big = [], []
-    for stream in _seed_sequence(seed).spawn(seeds):
+    for stream in _as_seed_sequence(seed).spawn(seeds):
         pts = np.random.default_rng(stream).random((n + 1, d))
         small.append(l_p(build_nn_graph(PointSet(pts[:n]), spec), p))
         big.append(l_p(build_nn_graph(PointSet(pts), spec), p))
@@ -436,7 +431,7 @@ def check_perturbation(
     base = l_p(build_nn_graph(ps, spec), p)
     epsilons = tuple(epsilons)
     ratios = []
-    for eps, stream in zip(epsilons, _seed_sequence(seed).spawn(len(epsilons))):
+    for eps, stream in zip(epsilons, _as_seed_sequence(seed).spawn(len(epsilons))):
         eps = float(eps)
         if eps <= 0:
             raise ValueError(f"epsilon must be > 0, got {eps}")

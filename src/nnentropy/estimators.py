@@ -69,16 +69,15 @@ class EstimatorSettings:
         Neighbor ranks of the graph; defaults to {1, 2, 3}.
     gamma : float, GammaEstimate, "analytic", or None
         How to obtain the normalizing constant. An explicit value or
-        estimate is used as given; ``"analytic"`` uses the closed form
-        (single-rank specs only); ``None`` calibrates through ``cache``
-        when set, or on the fly otherwise.
+        estimate is used as given; ``"analytic"`` uses the closed form,
+        the sum of :func:`gamma_analytic` over the ranks in ``spec``;
+        ``None`` calibrates through ``cache`` when set, or on the fly
+        otherwise.
     cache : GammaCache, path, or None
         Persistent calibration cache consulted when ``gamma`` is None.
     n_cal, reps, calibration_seed
         Monte-Carlo calibration parameters used on cache misses and
         on-the-fly calibration.
-    method : str
-        Neighbor-search path ("auto", "kdtree", "brute").
     workers : int
         Worker threads for neighbor queries; -1 uses all cores.
     """
@@ -90,7 +89,6 @@ class EstimatorSettings:
     n_cal: int = DEFAULT_N_CAL
     reps: int = DEFAULT_REPS
     calibration_seed: int = 0
-    method: str = "auto"
     workers: int = -1
 
     def __post_init__(self) -> None:
@@ -160,21 +158,14 @@ def _resolve_gamma(settings: EstimatorSettings, d: int, p: float):
     if isinstance(g, GammaEstimate):
         return g.mean, "given", g.std_error
     if g == "analytic":
-        if len(settings.spec) != 1:
-            raise ValueError(
-                "analytic form unavailable: closed-form gamma exists only for single-rank "
-                f"neighbor specs, got S={list(settings.spec)}"
-            )
-        return gamma_analytic(d, p, settings.spec.k), "analytic", None
+        return math.fsum(gamma_analytic(d, p, k) for k in settings.spec), "analytic", None
     key = GammaKey(d=d, p=p, spec=settings.spec, n_cal=settings.n_cal, reps=settings.reps)
     if settings.cache is not None:
         est, was_hit = settings.cache.get_or_compute(
-            key, seed=settings.calibration_seed, method=settings.method, workers=settings.workers
+            key, seed=settings.calibration_seed, workers=settings.workers
         )
         return est.mean, ("cache" if was_hit else "calibrated"), est.std_error
-    est = estimate_gamma(
-        key, seed=settings.calibration_seed, method=settings.method, workers=settings.workers
-    )
+    est = estimate_gamma(key, seed=settings.calibration_seed, workers=settings.workers)
     return est.mean, "calibrated", est.std_error
 
 
@@ -208,7 +199,7 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
     """
     ps = as_point_set(points)
     p = settings.p(ps.d)
-    graph = build_nn_graph(ps, settings.spec, method=settings.method, workers=settings.workers)
+    graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
     total = l_p(graph, p)
     if total <= 0.0:
         raise DegenerateSampleError("degenerate sample: total edge length is zero")

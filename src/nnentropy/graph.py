@@ -56,27 +56,13 @@ class NNGraph:
         targets = self.neighbor_index[self.neighbor_index >= 0]
         return np.bincount(targets, minlength=self.n_vertices)
 
-    def edges(self):
-        """Yield ``(source, rank, target, length)`` for every edge.
 
-        ``target`` is a vertex index, or the substituted boundary point as
-        a coordinate array for redirected edges.
-        """
-        for i in range(self.n_vertices):
-            for j, rank in enumerate(self.spec.indices):
-                t = int(self.neighbor_index[i, j])
-                if t >= 0:
-                    yield i, rank, t, float(self.length[i, j])
-                else:
-                    yield i, rank, self.boundary_point[i, j].copy(), float(self.length[i, j])
-
-
-def build_nn_graph(points, spec, method: str = "auto", workers: int = -1) -> NNGraph:
+def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
     """Build the nearest-neighbor graph of a sample for rank set ``spec``.
 
     Requires ``n > max(spec)``. Ties in neighbor distance are broken by
     ascending point index, so the graph is a deterministic function of the
-    sample regardless of ``method`` and ``workers``.
+    sample whatever the number of ``workers``.
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
@@ -84,14 +70,12 @@ def build_nn_graph(points, spec, method: str = "auto", workers: int = -1) -> NNG
         raise InsufficientPointsError(
             f"rank {spec.k} requested but the sample has only {ps.n} points"
         )
-    idx, lengths = knn_all(ps, spec.k, method=method, workers=workers)
+    idx, lengths = knn_all(ps, spec.k, workers=workers)
     cols = np.asarray(spec.indices, dtype=np.intp) - 1
     return NNGraph(ps, spec, idx[:, cols], lengths[:, cols])
 
 
-def build_boundary_graph(
-    points, spec, cube: Cube, method: str = "auto", workers: int = -1
-) -> NNGraph:
+def build_boundary_graph(points, spec, cube: Cube, workers: int = -1) -> NNGraph:
     """Build the boundary-rewired neighbor graph inside ``cube``.
 
     Every edge ``(x, y)`` of the plain graph is kept when
@@ -121,7 +105,7 @@ def build_boundary_graph(
 
     k_avail = min(spec.k, n - 1)
     if k_avail >= 1:
-        all_idx, all_len = knn_all(ps, k_avail, method=method, workers=workers)
+        all_idx, all_len = knn_all(ps, k_avail, workers=workers)
         for j, rank in enumerate(spec.indices):
             if rank <= k_avail:
                 cand_len = all_len[:, rank - 1]

@@ -12,7 +12,7 @@ block-permutation recovery).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,7 +215,7 @@ def _greedy_blocks(matrix: np.ndarray, d: int, m: int) -> list[list[int]]:
 
 
 def group_components(
-    ics, subspace_dim: int, num_sources: int, settings: EstimatorSettings, seed=None
+    ics, subspace_dim: int, num_sources: int, settings: EstimatorSettings
 ) -> IsaSolution:
     """Partition components into blocks maximizing within-block dependence.
 
@@ -225,9 +225,9 @@ def group_components(
     when it strictly increases the objective; the objective therefore never
     decreases, and termination is guaranteed.
 
-    ``seed`` (optional) overrides the calibration seed used if a
-    normalizing constant has to be estimated on the fly; the search itself
-    is deterministic.
+    The search is deterministic. A normalizing constant that has to be
+    estimated on the fly is calibrated once, with
+    ``settings.calibration_seed``, and shared by every block.
     """
     ps = as_point_set(ics)
     d, m = int(subspace_dim), int(num_sources)
@@ -237,8 +237,6 @@ def group_components(
         raise ValueError(
             f"{ps.d} components cannot be grouped into {m} blocks of {d}"
         )
-    if seed is not None:
-        settings = replace(settings, calibration_seed=int(seed))
     block_settings = resolve_settings(settings, d)
 
     mi_cache: dict[frozenset, float] = {}

@@ -1,13 +1,15 @@
-"""Exact k-nearest-neighbor queries with deterministic tie handling.
+"""Exact k-nearest-neighbor search with deterministic tie handling.
 
-Distance ties are broken by ascending point index, and every code path
-computes lengths through one shared arithmetic expression, so the kd-tree
-search and the exhaustive reference scan return bitwise-identical indices
-and lengths. The kd-tree serves every dimension. Its reported neighbor
-distances are trusted only where they are separated by a clear relative
-gap; all other rows (ties, near-ties at floating-point resolution and
-duplicate points) are resolved exactly in one batched pass that queries one
-distance ball per distinct point and sorts every ball by (length, index).
+:func:`knn_all` is the package's one neighbor search and the only place
+that selects a search method. Distance ties are broken by ascending point
+index, and every code path computes squared lengths with the same
+expression, ``(diff * diff).sum(axis=-1)``, so the kd-tree search and the
+exhaustive reference scan return bitwise-identical indices and lengths.
+The kd-tree serves every dimension. Its reported neighbor distances are
+trusted only where they are separated by a clear relative gap; all other
+rows (ties, near-ties at floating-point resolution and duplicate points)
+are resolved exactly in one batched pass that queries one distance ball
+per distinct point and sorts every ball by (length, index).
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from scipy.spatial import cKDTree
 from .errors import InsufficientPointsError
 from .points import as_point_set
 
-__all__ = ["knn_all", "knn_query"]
+__all__ = ["knn_all"]
 
-# ``method="auto"`` uses the kd-tree at every dimension and never switches to
+# The default search uses the kd-tree at every dimension and never switches to
 # the exhaustive scan; the attribute reads as infinity for code that derives
-# the path "auto" takes from it (``perfbench/spans.py``).
+# the default's path from it (``perfbench/spans.py``).
 BRUTE_FORCE_DIMENSION = math.inf
 
 # Relative gap below which two reported kd-tree distances are treated as a
@@ -40,18 +42,7 @@ _TIE_RTOL = 1e-9
 _BLOCK_ELEMENTS = 2**24
 
 
-def _row_sq_dists(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Squared distances from ``query`` to each row of ``points``.
-
-    This expression is the single source of truth for distance arithmetic:
-    all paths compute lengths through the same elementwise operations and
-    the same reduction axis so that results agree bitwise.
-    """
-    diff = points - query
-    return (diff * diff).sum(axis=-1)
-
-
-def knn_all(points, k: int, method: str = "auto", workers: int = -1):
+def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
 
     Parameters
@@ -60,9 +51,10 @@ def knn_all(points, k: int, method: str = "auto", workers: int = -1):
         The sample.
     k : int
         Number of neighbor ranks, ``1 <= k <= n - 1``.
-    method : {"auto", "kdtree", "brute"}
-        "auto" and "kdtree" use the kd-tree at every dimension; "brute" is
-        the exhaustive reference scan. All return identical output.
+    method : {"kdtree", "brute"}
+        "kdtree" searches a kd-tree at every dimension; "brute" is the
+        exhaustive reference scan the kd-tree is tested against. Both
+        return identical output.
     workers : int
         Worker threads for the kd-tree queries; -1 uses all cores. The
         output does not depend on it.
@@ -88,36 +80,11 @@ def knn_all(points, k: int, method: str = "auto", workers: int = -1):
             f"k={k} neighbor ranks requested but the sample has only {n} points "
             f"(need at least k + 1)"
         )
-    if method in ("auto", "kdtree"):
+    if method == "kdtree":
         return _knn_kdtree(X, k, workers)
     if method == "brute":
         return _knn_brute(X, k)
     raise ValueError(f"unknown method {method!r}")
-
-
-def knn_query(points, index: int, k: int):
-    """Neighbors of a single point, bitwise-consistent with :func:`knn_all`.
-
-    Returns ``(indices, lengths)`` of shape ``(k,)`` — the ``k`` nearest
-    other points of ``points[index]`` in tie-broken order.
-    """
-    ps = as_point_set(points)
-    X = ps.points
-    n = X.shape[0]
-    if not (-n <= index < n):
-        raise IndexError(f"query index {index} out of range for {n} points")
-    index = int(index) % n
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k >= n:
-        raise InsufficientPointsError(
-            f"k={k} neighbor ranks requested but the sample has only {n} points "
-            f"(need at least k + 1)"
-        )
-    sq = _row_sq_dists(X, X[index])
-    order = np.lexsort((np.arange(n), sq))
-    order = order[order != index][:k]
-    return order.copy(), np.sqrt(sq[order])
 
 
 def _knn_brute(X: np.ndarray, k: int):

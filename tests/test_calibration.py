@@ -151,10 +151,12 @@ class TestGammaCache:
     def test_roundtrip_is_bit_exact(self, tmp_path):
         cache = GammaCache(tmp_path / "g.jsonl")
         est = estimate_gamma(FAST_KEY, seed=5)
-        cache.store(est)
-        loaded = cache.lookup(FAST_KEY)
-        assert loaded.mean == est.mean
-        assert loaded.std_error == est.std_error
+        computed, was_hit = cache.get_or_compute(FAST_KEY, seed=5)
+        loaded = GammaCache(cache.path).lookup(FAST_KEY)
+        assert not was_hit
+        for got in (computed, loaded):
+            assert got.mean.hex() == est.mean.hex()
+            assert got.std_error.hex() == est.std_error.hex()
 
     def test_lookup_missing_returns_none(self, tmp_path):
         assert GammaCache(tmp_path / "none.jsonl").lookup(FAST_KEY) is None

@@ -291,37 +291,6 @@ class TestDiagnostics:
         assert payload["quick"] is True and payload["seed"] == 5
         assert json.loads(out.read_text()) == payload
 
-    def test_grid_file_sets_quick_and_seed(self, tmp_path, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"quick": True, "seed": 9}), encoding="utf-8")
-        payload = json.loads(run_cli(["diagnostics", "--grid", str(grid)], capsys)[1])
-        assert payload["quick"] is True and payload["seed"] == 9
-
-    def test_seed_flag_overrides_grid(self, tmp_path, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"quick": True, "seed": 9}), encoding="utf-8")
-        payload = json.loads(
-            run_cli(["diagnostics", "--grid", str(grid), "--seed", "3"], capsys)[1]
-        )
-        assert payload["seed"] == 3
-
-    @pytest.mark.parametrize(
-        "content, message",
-        [
-            ("{not json", "invalid JSON"),
-            ('{"quick": true, "cells": 4}', "unknown grid keys"),
-            ('{"quick": "yes"}', "'quick' must be a boolean"),
-            ('{"seed": true}', "'seed' must be an integer"),
-            ("[1, 2]", "must be a JSON object"),
-        ],
-    )
-    def test_malformed_grid(self, tmp_path, content, message, capsys):
-        grid = tmp_path / "grid.json"
-        grid.write_text(content, encoding="utf-8")
-        code, _, err = run_cli(["diagnostics", "--grid", str(grid)], capsys)
-        assert code == 3
-        assert message in err
-
 
 class TestTopLevel:
     def test_version(self, capsys):

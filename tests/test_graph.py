@@ -49,10 +49,12 @@ class TestBuildNNGraph:
         with pytest.raises(InsufficientPointsError, match="rank 3"):
             build_nn_graph(LINE, NeighborSpec((1, 3)))
 
-    def test_edges_iterator(self):
+    def test_edge_arrays(self):
         g = build_nn_graph(LINE, NeighborSpec((1,)))
-        edges = list(g.edges())
-        assert edges == [(0, 1, 1, 1.0), (1, 1, 0, 1.0), (2, 1, 1, 2.0)]
+        assert g.spec.indices == (1,)
+        assert g.neighbor_index.tolist() == [[1], [0], [1]]
+        assert g.length.tolist() == [[1.0], [1.0], [2.0]]
+        assert g.boundary_point is None
 
 
 class TestLP:
@@ -125,8 +127,7 @@ class TestBoundaryGraph:
         g = build_boundary_graph([[0.3, 0.5]], NeighborSpec((1, 2)), Cube.unit(2))
         assert (g.neighbor_index == -1).all()
         assert np.allclose(g.length, 0.3)
-        edges = list(g.edges())
-        assert all(isinstance(e[2], np.ndarray) for e in edges)
+        assert np.array_equal(g.boundary_point, [[[0.0, 0.5], [0.0, 0.5]]])
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_never_exceeds_plain_length(self, p):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from nnentropy import InsufficientPointsError, empirical_copula, knn_all, knn_query, neighbors
+from nnentropy import InsufficientPointsError, empirical_copula, knn_all, neighbors
 
 from .oracles import brute_knn
 
@@ -15,8 +15,8 @@ from .oracles import brute_knn
 def assert_matches_scan(X, k):
     """kd-tree (both worker counts) == exhaustive scan bitwise == oracle."""
     idx_b, len_b = knn_all(X, k, method="brute")
-    for method, workers in (("auto", -1), ("kdtree", 1)):
-        idx, lengths = knn_all(X, k, method=method, workers=workers)
+    for workers in (-1, 1):
+        idx, lengths = knn_all(X, k, method="kdtree", workers=workers)
         assert np.array_equal(idx, idx_b)
         assert lengths.tobytes() == len_b.tobytes()
     ref_idx, ref_dist = brute_knn(X, k)
@@ -58,34 +58,20 @@ TIE_HEAVY = {
 }
 
 
-def test_knn_query_line_example():
-    idx, dist = knn_query([[0.0], [1.0], [3.0]], 0, 2)
-    assert list(idx) == [1, 2]
-    assert list(dist) == [1.0, 3.0]
-
-
-def test_knn_query_duplicate_points():
-    idx, dist = knn_query([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]], 0, 2)
-    assert list(idx) == [1, 2]
-    assert list(dist) == [0.0, 5.0]
-
-
-def test_knn_query_matches_knn_all():
-    rng = np.random.default_rng(11)
-    X = rng.random((80, 3))
-    all_idx, all_len = knn_all(X, 5)
-    for i in (0, 17, 79):
-        idx, dist = knn_query(X, i, 5)
-        assert np.array_equal(idx, all_idx[i])
-        assert np.array_equal(dist, all_len[i])
-
-
 def test_exact_ties_break_by_ascending_index():
     # four points at distance exactly 1 from the origin
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
     idx, dist = knn_all(pts, 4)
     assert list(idx[0]) == [1, 2, 3, 4]
     assert np.allclose(dist[0], 1.0)
+    # index breaks ties only: the nearer point 1 precedes point 0 for point 2
+    idx, dist = knn_all([[0.0], [1.0], [3.0]], 2)
+    assert idx.tolist() == [[1, 2], [0, 2], [1, 0]]
+    assert dist.tolist() == [[1.0, 3.0], [1.0, 2.0], [2.0, 3.0]]
+    # a duplicate pair is each other's zero-length first neighbor
+    idx, dist = knn_all([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]], 2)
+    assert idx.tolist() == [[1, 2], [0, 2], [0, 1]]
+    assert dist.tolist() == [[0.0, 5.0], [0.0, 5.0], [5.0, 5.0]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
