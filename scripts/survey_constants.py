@@ -6,20 +6,28 @@ fixed grids of random instances and prints, for each constant, the maximum
 observed ratio and the frozen bound (2x the maximum, the convention used
 throughout). The frozen values are pasted into ``nnentropy.diagnostics``
 (the SURVEYED dict) together with the grid description; rerunning this
-script reproduces them from the seeds below.
+script reproduces them from the seeds below. The smoothness, subadditivity
+and add-one ratios are computed by the diagnostics checks themselves, so a
+frozen constant and the check that reads it share one formula.
 
 Run from the repository root:
 
-    python3 scripts/survey_constants.py
+    PYTHONPATH=src python3 scripts/survey_constants.py
+
+The script exits with status 1 when a printed constant differs from
+``SURVEYED``: exactly for the in-degree constants, to 4 decimals for the
+rest.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 
 import numpy as np
 
+from nnentropy.diagnostics import SURVEYED, check_add_one, check_smoothness, check_subadditivity
 from nnentropy.graph import build_nn_graph, l_p
 from nnentropy.points import NeighborSpec, PointSet
 
@@ -62,15 +70,12 @@ def survey_smoothness():
                     base = rng.random((500, d))
                     edit = rng.integers(3)
                     if edit == 0:
-                        other, delta = np.vstack([base, rng.random((100, d))]), 100
+                        other = np.vstack([base, rng.random((100, d))])
                     elif edit == 1:
-                        other, delta = base[:400], 100
+                        other = base[:400]
                     else:
-                        other, delta = np.vstack([base[:450], rng.random((50, d))]), 100
-                    lv = l_p(build_nn_graph(PointSet(base), spec), p)
-                    lw = l_p(build_nn_graph(PointSet(other), spec), p)
-                    ratio = abs(lw - lv) / max(delta ** (1 - p / d), 1.0)
-                    worst = max(worst, ratio)
+                        other = np.vstack([base[:450], rng.random((50, d))])
+                    worst = max(worst, check_smoothness(base, other, spec, p).ratio)
     print(f"  max ratio = {worst:.4f}  -> freeze smoothness bound = {2 * worst:.4f}")
     return worst
 
@@ -94,16 +99,8 @@ def survey_subadditivity():
                         streams = np.random.SeedSequence((30, d, m, int(p * 10), len(ranks), n)).spawn(25)
                         for s in streams:
                             pts = np.random.default_rng(s).random((n, d))
-                            whole = l_p(build_nn_graph(PointSet(pts), spec), p)
-                            idx = np.minimum((pts * m).astype(np.int64), m - 1)
-                            flat = (idx * m ** np.arange(d)).sum(axis=1)
-                            total = 0.0
-                            for b in np.unique(flat):
-                                block = pts[flat == b]
-                                if len(block) > spec.k:
-                                    total += l_p(build_nn_graph(PointSet(block), spec), p)
-                            slack = max(0.0, whole - total) / m ** (d - p)
-                            worst = max(worst, slack)
+                            report = check_subadditivity(pts, spec, p, m)
+                            worst = max(worst, report.normalized_slack)
     print(f"  max normalized slack = {worst:.4f}  -> freeze subadditivity bound = {2 * worst:.4f}")
     return worst
 
@@ -120,14 +117,9 @@ def survey_add_one():
             for ranks in ((1,), (1, 2, 3)):
                 spec = NeighborSpec(ranks)
                 for n in (128, 512):
-                    streams = np.random.SeedSequence((40, d, int(p * 10), len(ranks), n)).spawn(200)
-                    small, big = [], []
-                    for s in streams:
-                        pts = np.random.default_rng(s).random((n + 1, d))
-                        small.append(l_p(build_nn_graph(PointSet(pts[:n]), spec), p))
-                        big.append(l_p(build_nn_graph(PointSet(pts), spec), p))
-                    gap = abs(math.fsum(small) / 200 - math.fsum(big) / 200)
-                    worst = max(worst, gap / n ** (-p / d))
+                    seed = np.random.SeedSequence((40, d, int(p * 10), len(ranks), n))
+                    report = check_add_one(d, spec, p, n, seeds=200, seed=seed)
+                    worst = max(worst, report.normalized_gap)
     print(f"  max normalized gap = {worst:.4f}  -> freeze add-one bound = {2 * worst:.4f}")
     return worst
 
@@ -172,22 +164,35 @@ def survey_growth():
     print(f"  max/median across n = {max(maxima) / np.median(maxima):.4f} (bound 3.0)")
 
 
-def main():
+def main() -> int:
     t0 = time.time()
     c = survey_indegree()
-    smooth = survey_smoothness()
-    sub = survey_subadditivity()
-    add = survey_add_one()
-    pert = survey_perturbation()
+    frozen = {
+        "smoothness": 2 * survey_smoothness(),
+        "subadditivity": 2 * survey_subadditivity(),
+        "add_one": 2 * survey_add_one(),
+        "perturbation": 2 * survey_perturbation(),
+    }
     survey_growth()
     print("\n== frozen constants (paste into nnentropy.diagnostics.SURVEYED) ==")
     print(f'  "indegree_c": {{{", ".join(f"{d}: {2 * v:g}" for d, v in c.items())}}},')
-    print(f'  "smoothness": {2 * smooth:.4f},')
-    print(f'  "subadditivity": {2 * sub:.4f},')
-    print(f'  "add_one": {2 * add:.4f},')
-    print(f'  "perturbation": {2 * pert:.4f},')
+    for name, value in frozen.items():
+        print(f'  "{name}": {value:.4f},')
     print(f"[{time.time() - t0:.1f}s]")
+
+    indegree = {d: float(2 * v) for d, v in c.items()}
+    mismatches = []
+    if indegree != SURVEYED["indegree_c"]:
+        mismatches.append(f"indegree_c: surveyed {indegree}, frozen {SURVEYED['indegree_c']}")
+    mismatches += [
+        f"{name}: surveyed {value:.4f}, frozen {SURVEYED[name]}"
+        for name, value in frozen.items()
+        if round(value, 4) != SURVEYED[name]
+    ]
+    for line in mismatches:
+        print(f"MISMATCH {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -252,10 +252,6 @@ class GammaCache:
                 return self._to_estimate(rec, key)
         return None
 
-    @staticmethod
-    def _record_line(est: GammaEstimate) -> str:
-        return json.dumps(estimate_record(est)) + "\n"
-
     def get_or_compute(
         self, key: GammaKey, seed: int = 0, workers: int = -1
     ) -> tuple[GammaEstimate, bool]:
@@ -278,10 +274,8 @@ class GammaCache:
                     if self._matches(rec, key):
                         return self._to_estimate(rec, key), True
                 fh.seek(0, os.SEEK_END)
-                fh.write(self._record_line(est))
+                fh.write(json.dumps(estimate_record(est)) + "\n")
                 fh.flush()
             finally:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        # Round-trip through the serialized form so later cache hits are
-        # bit-identical to what this call returned.
-        return self._to_estimate(json.loads(self._record_line(est)), key), False
+        return est, False

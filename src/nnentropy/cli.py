@@ -149,17 +149,6 @@ def _emit(payload: dict, out=None) -> None:
     print(text)
 
 
-def _settings_from_args(args) -> EstimatorSettings:
-    return EstimatorSettings(
-        alpha=args.alpha,
-        spec=args.S,
-        gamma=args.gamma,
-        cache=GammaCache(args.cache) if args.cache else None,
-        calibration_seed=args.seed,
-        workers=args.threads,
-    )
-
-
 def cmd_calibrate(args) -> None:
     if args.alpha is not None:
         if not 0.0 < args.alpha < 1.0:
@@ -177,15 +166,17 @@ def cmd_calibrate(args) -> None:
     _emit(estimate_record(estimate))
 
 
-def cmd_entropy(args) -> None:
+def cmd_estimate(args) -> None:
     points = PointSet(_read_csv(args.input))
-    report = renyi_entropy(points, _settings_from_args(args))
-    _emit({"tool_version": __version__, "input": str(args.input), **report.to_dict()})
-
-
-def cmd_mi(args) -> None:
-    points = PointSet(_read_csv(args.input))
-    report = renyi_mi(points, _settings_from_args(args))
+    settings = EstimatorSettings(
+        alpha=args.alpha,
+        spec=args.S,
+        gamma=args.gamma,
+        cache=GammaCache(args.cache) if args.cache else None,
+        workers=args.threads,
+    )
+    estimator = renyi_entropy if args.command == "entropy" else renyi_mi
+    report = estimator(points, settings)
     _emit({"tool_version": __version__, "input": str(args.input), **report.to_dict()})
 
 
@@ -207,10 +198,9 @@ def cmd_isa(args) -> None:
     result = run_isa_experiment(config, seed=args.seed, cache=cache, workers=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"tool_version": __version__, "seed": args.seed, **result.to_dict()}
-    (out_dir / "solution.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     result.write_block_norms_csv(out_dir / "block_norms.csv")
-    print(json.dumps(payload, indent=2))
+    payload = {"tool_version": __version__, "seed": args.seed, **result.to_dict()}
+    _emit(payload, out=out_dir / "solution.json")
 
 
 def cmd_diagnostics(args) -> None:
@@ -252,9 +242,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--cache", help="gamma cache file (JSON Lines); reused when the key matches")
     cal.set_defaults(func=cmd_calibrate)
 
-    for name, func, description in (
-        ("entropy", cmd_entropy, "estimate entropy from a CSV sample"),
-        ("mi", cmd_mi, "estimate mutual information from a CSV sample"),
+    for name, description in (
+        ("entropy", "estimate entropy from a CSV sample"),
+        ("mi", "estimate mutual information from a CSV sample"),
     ):
         est = sub.add_parser(name, parents=[common], help=description)
         est.add_argument("input", help="CSV file, one sample per row")
@@ -264,9 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         est.add_argument("--gamma", type=_parse_gamma, default=None,
                          help='normalizing constant: a number or "analytic" (closed form)')
         est.add_argument("--cache", help="gamma cache file used when --gamma is not given")
-        est.add_argument("--seed", type=int, default=0,
-                         help="seed for on-the-fly calibration (default 0)")
-        est.set_defaults(func=func)
+        est.set_defaults(func=cmd_estimate)
 
     rate = sub.add_parser(
         "rate-experiment", parents=[common], help="convergence-rate study over a size grid"
@@ -290,9 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     isa.add_argument("--cache", help="gamma cache file")
     isa.set_defaults(func=cmd_isa)
 
-    diag = sub.add_parser(
-        "diagnostics", parents=[common], help="run the structural checks"
-    )
+    diag = sub.add_parser("diagnostics", help="run the structural checks")
     diag.add_argument("--out", help="also write the report JSON here")
     diag.add_argument("--quick", action="store_true", help="one representative cell per check")
     diag.add_argument("--seed", type=int, default=0, help="random seed (default 0)")

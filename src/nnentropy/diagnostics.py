@@ -88,14 +88,13 @@ class TranslationScalingReport:
 
 
 def check_translation_scaling(
-    points, spec, p, scale: float = 2.0, shift=None, tol: float = 1e-12
+    points, spec, p, scale: float = 2.0, shift=None
 ) -> TranslationScalingReport:
     """Verify ``L_p(V + y) = L_p(V)`` and ``L_p(tV) = t^p L_p(V)``.
 
     Both identities are exact in real arithmetic; floating point leaves a
     few ulps, so the check passes when the larger relative error is at most
-    ``tol`` (default 1e-12). ``shift`` defaults to ``0.5`` in every
-    coordinate.
+    1e-12. ``shift`` defaults to ``0.5`` in every coordinate.
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
@@ -118,7 +117,7 @@ def check_translation_scaling(
         translation_rel_err=translation_err,
         scaling_rel_err=scaling_err,
         max_rel_err=worst,
-        passed=worst <= tol,
+        passed=worst <= 1e-12,
     )
 
 
@@ -157,10 +156,10 @@ def _partition_blocks(ps: PointSet, cube: Cube, m: int):
         yield PointSet(ps.points[sel]), Cube(lower, side)
 
 
-def check_boundary_and_superadditivity(points, spec, p, m: int, cube=None) -> BoundaryReport:
+def check_boundary_and_superadditivity(points, spec, p, m: int) -> BoundaryReport:
     """Assert ``L_p* <= L_p`` and block superadditivity of ``L_p*``.
 
-    The cube (default: unit cube) is split into ``m^d`` equal subcubes;
+    The unit cube is split into ``m^d`` equal subcubes;
     every block's boundary functional is evaluated against its own subcube,
     and the block sum must not exceed the whole-cube boundary functional.
     Blocks are never skipped here — the boundary graph is defined for any
@@ -176,7 +175,7 @@ def check_boundary_and_superadditivity(points, spec, p, m: int, cube=None) -> Bo
     m = int(m)
     if m < 1:
         raise ValueError(f"partition granularity must be >= 1, got {m}")
-    cube = Cube.unit(ps.d) if cube is None else cube
+    cube = Cube.unit(ps.d)
 
     star_whole = l_p(build_boundary_graph(ps, spec, cube), p)
     if ps.n > spec.k:
@@ -286,7 +285,7 @@ class SmoothnessReport:
     passed: bool
 
 
-def check_smoothness(points, points2, spec, p, bound=None) -> SmoothnessReport:
+def check_smoothness(points, points2, spec, p) -> SmoothnessReport:
     """Bound ``|L_p(V') - L_p(V)|`` by the symmetric-difference size.
 
     The normalizer is ``max(|V' sym-diff V|^(1-p/d), 1)`` with rows compared
@@ -299,7 +298,7 @@ def check_smoothness(points, points2, spec, p, bound=None) -> SmoothnessReport:
         raise ValueError(f"point sets have different dimensions: {ps.d} and {ps2.d}")
     spec = as_neighbor_spec(spec)
     p = _validate_p(p, ps.d)
-    bound = SURVEYED["smoothness"] if bound is None else float(bound)
+    bound = SURVEYED["smoothness"]
 
     rows = {row.tobytes() for row in ps.points}
     rows2 = {row.tobytes() for row in ps2.points}
@@ -322,13 +321,14 @@ class SubadditivityReport:
     passed: bool
 
 
-def check_subadditivity(points, spec, p, m: int, bound=None, cube=None) -> SubadditivityReport:
+def check_subadditivity(points, spec, p, m: int) -> SubadditivityReport:
     """Bound ``L_p(V) - sum of block L_p`` by the frozen constant times ``m^(d-p)``.
 
-    Blocks with at most ``max(S)`` points have no plain neighbor graph and
-    are skipped from the block sum (their count is reported); the slack
-    they leave behind is exactly what the ``m^(d-p)`` normalization
-    absorbs. Negative slack is clamped to zero.
+    The unit cube is split into ``m^d`` equal subcubes. Blocks with at
+    most ``max(S)`` points have no plain neighbor graph and are skipped
+    from the block sum (their count is reported); the slack they leave
+    behind is exactly what the ``m^(d-p)`` normalization absorbs. Negative
+    slack is clamped to zero.
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
@@ -336,13 +336,12 @@ def check_subadditivity(points, spec, p, m: int, bound=None, cube=None) -> Subad
     m = int(m)
     if m < 1:
         raise ValueError(f"partition granularity must be >= 1, got {m}")
-    cube = Cube.unit(ps.d) if cube is None else cube
-    bound = SURVEYED["subadditivity"] if bound is None else float(bound)
+    bound = SURVEYED["subadditivity"]
 
     whole = l_p(build_nn_graph(ps, spec), p)
     parts = []
     skipped = 0
-    for block, _sub in _partition_blocks(ps, cube, m):
+    for block, _sub in _partition_blocks(ps, Cube.unit(ps.d), m):
         if block.n > spec.k:
             parts.append(l_p(build_nn_graph(block, spec), p))
         else:
@@ -368,7 +367,7 @@ class AddOneReport:
     passed: bool
 
 
-def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0, bound=None) -> AddOneReport:
+def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0) -> AddOneReport:
     """Bound ``|mean L_p(U_n) - mean L_p(U_(n+1))|`` by the frozen constant times ``n^(-p/d)``.
 
     Each replication draws ``n + 1`` uniform points and evaluates ``L_p``
@@ -388,7 +387,7 @@ def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0, bound=None)
     seeds = int(seeds)
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    bound = SURVEYED["add_one"] if bound is None else float(bound)
+    bound = SURVEYED["add_one"]
 
     small, big = [], []
     for stream in _as_seed_sequence(seed).spawn(seeds):
@@ -410,9 +409,7 @@ class PerturbationReport:
     passed: bool
 
 
-def check_perturbation(
-    points, spec, p, epsilons=(1e-3, 1e-2), seed=0, bound=None
-) -> PerturbationReport:
+def check_perturbation(points, spec, p, epsilons=(1e-3, 1e-2), seed=0) -> PerturbationReport:
     """Bound ``|L_p(V + noise) - L_p(V)|`` by the frozen constant times ``n * eps^p``.
 
     Every point is displaced by a uniformly random direction scaled to
@@ -426,7 +423,7 @@ def check_perturbation(
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"the perturbation bound applies for 0 < p < 1, got p={p}")
-    bound = SURVEYED["perturbation"] if bound is None else float(bound)
+    bound = SURVEYED["perturbation"]
 
     base = l_p(build_nn_graph(ps, spec), p)
     epsilons = tuple(epsilons)

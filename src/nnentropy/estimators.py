@@ -75,9 +75,9 @@ class EstimatorSettings:
         otherwise.
     cache : GammaCache, path, or None
         Persistent calibration cache consulted when ``gamma`` is None.
-    n_cal, reps, calibration_seed
-        Monte-Carlo calibration parameters used on cache misses and
-        on-the-fly calibration.
+    n_cal, reps
+        Monte-Carlo calibration size used on cache misses and on-the-fly
+        calibration, which always runs at seed 0.
     workers : int
         Worker threads for neighbor queries; -1 uses all cores.
     """
@@ -88,7 +88,6 @@ class EstimatorSettings:
     cache: GammaCache | str | None = None
     n_cal: int = DEFAULT_N_CAL
     reps: int = DEFAULT_REPS
-    calibration_seed: int = 0
     workers: int = -1
 
     def __post_init__(self) -> None:
@@ -97,7 +96,7 @@ class EstimatorSettings:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "spec", as_neighbor_spec(self.spec))
-        if isinstance(self.gamma, str) and self.gamma != "analytic":
+        if isinstance(self.gamma, bool) or (isinstance(self.gamma, str) and self.gamma != "analytic"):
             raise ValueError(f'gamma must be a number, a GammaEstimate, "analytic", or None; got {self.gamma!r}')
         if isinstance(self.gamma, Real):
             g = float(self.gamma)
@@ -161,11 +160,9 @@ def _resolve_gamma(settings: EstimatorSettings, d: int, p: float):
         return math.fsum(gamma_analytic(d, p, k) for k in settings.spec), "analytic", None
     key = GammaKey(d=d, p=p, spec=settings.spec, n_cal=settings.n_cal, reps=settings.reps)
     if settings.cache is not None:
-        est, was_hit = settings.cache.get_or_compute(
-            key, seed=settings.calibration_seed, workers=settings.workers
-        )
+        est, was_hit = settings.cache.get_or_compute(key, workers=settings.workers)
         return est.mean, ("cache" if was_hit else "calibrated"), est.std_error
-    est = estimate_gamma(key, seed=settings.calibration_seed, workers=settings.workers)
+    est = estimate_gamma(key, workers=settings.workers)
     return est.mean, "calibrated", est.std_error
 
 
@@ -254,22 +251,10 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
     if not (0.5 < settings.alpha < 1.0):
         warnings.append(_MI_ALPHA_WARNING)
     ent = renyi_entropy(empirical_copula(ps), settings)
-    return EstimateReport(
-        value=-ent.value,
-        kind="mutual_information",
-        n=ps.n,
-        d=ps.d,
-        alpha=settings.alpha,
-        p=ent.p,
-        spec=settings.spec.indices,
-        gamma=ent.gamma,
-        gamma_source=ent.gamma_source,
-        gamma_std_error=ent.gamma_std_error,
-        warnings=tuple(warnings),
-    )
+    return replace(ent, value=-ent.value, kind="mutual_information", warnings=tuple(warnings))
 
 
-def _scott_bin_counts(X: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scott_bin_counts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis bin counts from the per-axis normal-reference rule."""
     n, d = X.shape
     sd = X.std(axis=0, ddof=1)
@@ -283,21 +268,21 @@ def _scott_bin_counts(X: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarra
     hi = X.max(axis=0)
     bins = np.maximum(1, np.ceil((hi - lo) / width)).astype(np.int64)
     total = float(np.prod(bins.astype(np.float64)))
-    if total > budget:
+    if total > HISTOGRAM_CELL_BUDGET:
         raise HistogramInfeasibleError(
             f"histogram infeasible in this dimension: {d} axes would need "
-            f"~{total:.2e} cells (budget {budget:.0e})"
+            f"~{total:.2e} cells (budget {HISTOGRAM_CELL_BUDGET:.0e})"
         )
     return bins, lo, hi
 
 
-def histogram_entropy(points, alpha: float, cell_budget: int = HISTOGRAM_CELL_BUDGET) -> EstimateReport:
+def histogram_entropy(points, alpha: float) -> EstimateReport:
     """Histogram plug-in entropy estimate (comparison baseline).
 
     Builds a regular histogram with per-axis bin width
     ``3.49 * sigma_hat * n^(-1/3)``, then evaluates the entropy integral of
     the piecewise-constant density. Infeasible when the bin grid would
-    exceed ``cell_budget`` cells.
+    exceed :data:`HISTOGRAM_CELL_BUDGET` cells.
     """
     ps = as_point_set(points)
     alpha = float(alpha)
@@ -306,7 +291,7 @@ def histogram_entropy(points, alpha: float, cell_budget: int = HISTOGRAM_CELL_BU
     if ps.n < 2:
         raise DegenerateSampleError("degenerate sample: histogram needs at least two points")
     X = ps.points
-    bins, lo, hi = _scott_bin_counts(X, cell_budget)
+    bins, lo, hi = _scott_bin_counts(X)
     counts, _ = np.histogramdd(X, bins=bins, range=list(zip(lo, hi)))
     mass = counts[counts > 0] / ps.n
     log_cell_volume = float(np.log((hi - lo) / bins).sum())
@@ -326,23 +311,12 @@ def histogram_entropy(points, alpha: float, cell_budget: int = HISTOGRAM_CELL_BU
     )
 
 
-def histogram_mi(points, alpha: float, cell_budget: int = HISTOGRAM_CELL_BUDGET) -> EstimateReport:
+def histogram_mi(points, alpha: float) -> EstimateReport:
     """Histogram plug-in mutual information baseline.
 
-    Minus the histogram entropy of the empirical copula, so it targets the
-    same functional as :func:`renyi_mi`.
+    Minus the histogram entropy of the empirical copula, under the same
+    :data:`HISTOGRAM_CELL_BUDGET`, so it targets the same functional as
+    :func:`renyi_mi`.
     """
-    ps = as_point_set(points)
-    ent = histogram_entropy(empirical_copula(ps), alpha, cell_budget=cell_budget)
-    return EstimateReport(
-        value=-ent.value,
-        kind="histogram_mi",
-        n=ps.n,
-        d=ps.d,
-        alpha=ent.alpha,
-        p=ent.p,
-        spec=None,
-        gamma=None,
-        gamma_source=None,
-        gamma_std_error=None,
-    )
+    ent = histogram_entropy(empirical_copula(points), alpha)
+    return replace(ent, value=-ent.value, kind="histogram_mi")

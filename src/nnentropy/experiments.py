@@ -115,7 +115,6 @@ class RateExperimentConfig:
     histogram: bool = True
     n_cal: int = DEFAULT_N_CAL
     reps: int = DEFAULT_REPS
-    calibration_seed: int = 0
 
     def __post_init__(self) -> None:
         truth = float(self.truth)
@@ -143,7 +142,7 @@ class RateExperimentConfig:
             raise DataFormatError("rate config must be a JSON object")
         known = {
             "distribution", "truth", "n_grid", "runs", "alpha",
-            "estimators", "histogram", "n_cal", "reps", "calibration_seed",
+            "estimators", "histogram", "n_cal", "reps",
         }
         unknown = set(obj) - known
         if unknown:
@@ -173,7 +172,7 @@ class RateExperimentConfig:
                     )
                 parsed.append((str(entry["label"]), as_neighbor_spec(entry["S"])))
             kwargs["estimators"] = tuple(parsed)
-        for key in ("n_grid", "runs", "histogram", "n_cal", "reps", "calibration_seed"):
+        for key in ("n_grid", "runs", "histogram", "n_cal", "reps"):
             if key in obj:
                 kwargs[key] = obj[key]
         try:
@@ -193,7 +192,6 @@ class RateExperimentConfig:
             "histogram": self.histogram,
             "n_cal": self.n_cal,
             "reps": self.reps,
-            "calibration_seed": self.calibration_seed,
         }
 
 
@@ -281,7 +279,6 @@ def run_rate_experiment(
             cache=cache,
             n_cal=config.n_cal,
             reps=config.reps,
-            calibration_seed=config.calibration_seed,
             workers=workers,
         )
         resolved.append((label, resolve_settings(settings, d)))
@@ -338,7 +335,6 @@ class IsaExperimentConfig:
     q: int | None = None
     n_cal: int = DEFAULT_N_CAL
     reps: int = DEFAULT_REPS
-    calibration_seed: int = 0
 
     def __post_init__(self) -> None:
         shapes = tuple(str(s) for s in self.shapes)
@@ -375,7 +371,7 @@ class IsaExperimentConfig:
             raise DataFormatError("ISA config must be a JSON object")
         known = {
             "shapes", "subspace_dim", "n", "alpha", "S",
-            "mixing", "q", "n_cal", "reps", "calibration_seed",
+            "mixing", "q", "n_cal", "reps",
         }
         unknown = set(obj) - known
         if unknown:
@@ -402,7 +398,6 @@ class IsaExperimentConfig:
             "q": self.q,
             "n_cal": self.n_cal,
             "reps": self.reps,
-            "calibration_seed": self.calibration_seed,
         }
 
 
@@ -465,7 +460,6 @@ def run_isa_experiment(
         cache=cache,
         n_cal=config.n_cal,
         reps=config.reps,
-        calibration_seed=config.calibration_seed,
         workers=workers,
     )
     solution = run_isa(problem, settings, seed=int(pipe_ss.generate_state(1)[0]))

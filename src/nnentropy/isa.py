@@ -146,12 +146,12 @@ def _orthonormal_rows(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T @ m
 
 
-def fastica(points, seed=0, tol: float = 1e-6, max_iter: int = 500) -> FastICAResult:
+def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
     """Symmetric fixed-point ICA with the tanh nonlinearity.
 
     Expects whitened input. All rows are updated in parallel and
     re-orthonormalized each step; iteration stops when every row's overlap
-    with its previous value is within ``tol`` of 1, or after ``max_iter``
+    with its previous value is within 1e-6 of 1, or after ``max_iter``
     iterations (recorded as a warning in the result, not an error).
     """
     ps = as_point_set(points)
@@ -171,7 +171,7 @@ def fastica(points, seed=0, tol: float = 1e-6, max_iter: int = 500) -> FastICARe
         w_new = _orthonormal_rows(w_new)
         overlap = np.abs((w_new * w).sum(axis=1))
         w = w_new
-        if np.max(np.abs(overlap - 1.0)) < tol:
+        if np.max(np.abs(overlap - 1.0)) < 1e-6:
             converged = True
             break
     warnings = ()
@@ -226,8 +226,8 @@ def group_components(
     decreases, and termination is guaranteed.
 
     The search is deterministic. A normalizing constant that has to be
-    estimated on the fly is calibrated once, with
-    ``settings.calibration_seed``, and shared by every block.
+    estimated on the fly is calibrated once for the pairs and once for the
+    blocks, then shared by every evaluation.
     """
     ps = as_point_set(ics)
     d, m = int(subspace_dim), int(num_sources)
@@ -333,8 +333,8 @@ def run_isa(problem: IsaProblem, settings: EstimatorSettings, seed=0) -> IsaSolu
     with the fixed-point ICA, groups the components, and composes the full
     separation matrix. A known true mixing matrix yields a block-structure
     score; non-convergence of the ICA stage surfaces in ``warnings``.
-    ``seed`` drives only the ICA initialization; any on-the-fly calibration
-    keeps the seed configured in ``settings``.
+    ``seed`` drives only the ICA initialization; on-the-fly calibration
+    always runs at seed 0.
     """
     d, m = problem.subspace_dim, problem.num_sources
     dm = d * m

@@ -92,7 +92,7 @@ class NeighborSpec:
         if not raw:
             raise ValueError("neighbor spec needs at least one rank")
         for r in raw:
-            if not isinstance(r, Integral):
+            if not isinstance(r, Integral) or isinstance(r, bool):
                 raise ValueError(f"neighbor ranks must be integers, got {r!r}")
         cleaned = tuple(sorted({int(r) for r in raw}))
         if cleaned[0] < 1:

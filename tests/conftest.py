@@ -20,7 +20,6 @@ hyp_settings.load_profile("suite")
 # enough that the constant is within a couple percent of its limit.
 FAST_N_CAL = 20_000
 FAST_REPS = 3
-CAL_SEED = 7
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +38,6 @@ def fast_settings(gamma_cache):
             cache=gamma_cache,
             n_cal=FAST_N_CAL,
             reps=FAST_REPS,
-            calibration_seed=CAL_SEED,
         )
         kwargs.update(overrides)
         return EstimatorSettings(**kwargs)

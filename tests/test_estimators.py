@@ -24,7 +24,7 @@ from nnentropy import (
     resolve_settings,
 )
 
-from .conftest import CAL_SEED, FAST_N_CAL, FAST_REPS
+from .conftest import FAST_N_CAL, FAST_REPS
 
 
 class TestEstimatorSettings:
@@ -40,7 +40,7 @@ class TestEstimatorSettings:
         with pytest.raises(ValueError, match="analytic"):
             EstimatorSettings(alpha=0.5, gamma="magic")
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, True])
     def test_explicit_gamma_must_be_positive(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             EstimatorSettings(alpha=0.5, gamma=gamma)
@@ -179,10 +179,7 @@ class TestGammaResolution:
         assert report.gamma_std_error > 0.0
 
     def test_resolve_settings_freezes_gamma(self, gamma_cache):
-        settings = EstimatorSettings(
-            alpha=0.6, cache=gamma_cache, n_cal=FAST_N_CAL, reps=FAST_REPS,
-            calibration_seed=CAL_SEED,
-        )
+        settings = EstimatorSettings(alpha=0.6, cache=gamma_cache, n_cal=FAST_N_CAL, reps=FAST_REPS)
         frozen = resolve_settings(settings, 2)
         assert isinstance(frozen.gamma, float)
         assert resolve_settings(frozen, 2) is frozen

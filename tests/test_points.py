@@ -64,7 +64,9 @@ class TestNeighborSpec:
         with pytest.raises(ValueError, match="at least one"):
             NeighborSpec.parse(" , ")
 
-    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5,)], ids=["empty", "zero", "negative", "float"])
+    @pytest.mark.parametrize(
+        "bad", [(), (0,), (-1, 2), (1.5,), (True,)], ids=["empty", "zero", "negative", "float", "bool"]
+    )
     def test_rejects_bad_ranks(self, bad):
         with pytest.raises(ValueError):
             NeighborSpec(bad)
