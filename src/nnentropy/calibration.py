@@ -16,7 +16,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.special import gammaln
 from ._version import __version__
 from .errors import GammaCacheError
 from .graph import build_nn_graph, l_p
-from .points import NeighborSpec, as_neighbor_spec
+from .points import NeighborSpec, as_neighbor_spec, check_integer, check_power, check_real
 
 __all__ = [
     "DEFAULT_N_CAL",
@@ -47,7 +46,9 @@ class GammaKey:
     """Identifies one calibration target.
 
     The cache treats two keys as equal only when all five fields match, so
-    estimates computed at different calibration sizes never collide.
+    estimates computed at different calibration sizes never collide. ``d``,
+    ``n_cal`` and ``reps`` must be integers (not bools or floats) with
+    ``n_cal > max(S)``, and ``p`` a real in (0, d).
     """
 
     d: int
@@ -57,26 +58,22 @@ class GammaKey:
     reps: int = DEFAULT_REPS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, Integral) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        p = float(self.p)
-        if not (0.0 < p < self.d) or not math.isfinite(p):
-            raise ValueError(f"p must satisfy 0 < p < d (= {self.d}), got {p}")
-        object.__setattr__(self, "p", p)
+        d = check_integer(self.d, "d")
         spec = as_neighbor_spec(self.spec)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", check_power(self.p, d))
         object.__setattr__(self, "spec", spec)
-        if not isinstance(self.n_cal, Integral) or self.n_cal <= spec.k:
-            raise ValueError(f"n_cal must be an integer > max(S) = {spec.k}, got {self.n_cal!r}")
-        object.__setattr__(self, "n_cal", int(self.n_cal))
-        if not isinstance(self.reps, Integral) or self.reps < 1:
-            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
-        object.__setattr__(self, "reps", int(self.reps))
+        object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", spec.k + 1))
+        object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
 
 
 @dataclass(frozen=True)
 class GammaEstimate:
-    """A Monte-Carlo estimate of the constant, with replication uncertainty."""
+    """A Monte-Carlo estimate of the constant, with replication uncertainty.
+
+    ``seed`` must be an integer >= 0, ``mean`` a positive finite real and
+    ``std_error`` a nonnegative finite real (none of them a bool).
+    """
 
     key: GammaKey
     seed: int
@@ -84,10 +81,9 @@ class GammaEstimate:
     std_error: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and self.mean > 0.0):
-            raise ValueError(f"gamma mean must be positive and finite, got {self.mean}")
-        if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
-            raise ValueError(f"std_error must be nonnegative and finite, got {self.std_error}")
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
+        object.__setattr__(self, "mean", check_real(self.mean, "gamma mean"))
+        object.__setattr__(self, "std_error", check_real(self.std_error, "std_error", strict=False))
 
 
 def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEstimate:
@@ -101,6 +97,7 @@ def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEsti
     """
     if not isinstance(key, GammaKey):
         raise ValueError("key must be a GammaKey")
+    seed = check_integer(seed, "seed", 0)
     streams = np.random.SeedSequence(seed).spawn(key.reps)
     scale = key.n_cal ** (1.0 - key.p / key.d)
     values = np.empty(key.reps)
@@ -114,7 +111,7 @@ def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEsti
         std_error = float(values.std(ddof=1) / math.sqrt(key.reps))
     else:
         std_error = 0.0
-    return GammaEstimate(key=key, seed=int(seed), mean=mean, std_error=std_error)
+    return GammaEstimate(key=key, seed=seed, mean=mean, std_error=std_error)
 
 
 def gamma_analytic(d: int, p: float, k: int) -> float:
@@ -138,13 +135,8 @@ def gamma_analytic(d: int, p: float, k: int) -> float:
     k : int
         The single neighbor rank, >= 1.
     """
-    if not isinstance(d, Integral) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not isinstance(k, Integral) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    p = float(p)
-    if not (0.0 < p < d):
-        raise ValueError(f"p must satisfy 0 < p < d (= {d}), got {p}")
+    d, k = check_integer(d, "d"), check_integer(k, "k")
+    p = check_power(p, d)
     log_vd = (d / 2.0) * math.log(math.pi) - float(gammaln(d / 2.0 + 1.0))
     log_gamma = -(p / d) * log_vd + float(gammaln(k + p / d)) - float(gammaln(k))
     return math.exp(log_gamma)
@@ -172,8 +164,12 @@ class GammaCache:
     """A JSON Lines cache of calibration results.
 
     Each line is one record with fields ``d, p, S (sorted array), n_cal,
-    reps, seed, mean, std_error, tool_version``. Floats are written with
-    Python's shortest-roundtrip repr, so cached means reload bit-exactly.
+    reps, seed, mean, std_error, tool_version``. On read every field is
+    checked as :class:`GammaKey` and :class:`GammaEstimate` check it (the
+    integers must be JSON integers, the reals non-bool finite numbers), so
+    a mistyped record raises :class:`GammaCacheError` naming its line
+    instead of matching a key. Floats are written with Python's
+    shortest-roundtrip repr, so cached means reload bit-exactly.
     Reads and appends are serialized through an exclusive advisory lock on
     the cache file, so concurrent processes may duplicate work but cannot
     corrupt the file.
@@ -182,8 +178,8 @@ class GammaCache:
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def records(self) -> list[dict]:
-        """Parse and validate all records; error on the first corrupt line."""
+    def records(self) -> list[GammaEstimate]:
+        """Parse and validate all records, in file order; error on the first corrupt line."""
         if not self.path.exists():
             return []
         with open(self.path, "a+", encoding="utf-8") as fh:
@@ -194,7 +190,7 @@ class GammaCache:
             finally:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
-    def _parse(self, fh) -> list[dict]:
+    def _parse(self, fh) -> list[GammaEstimate]:
         out = []
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -206,51 +202,32 @@ class GammaCache:
             out.append(self._validate(rec, lineno))
         return out
 
-    def _validate(self, rec, lineno: int) -> dict:
+    def _validate(self, rec, lineno: int) -> GammaEstimate:
+        """The estimate a record holds, every field checked as the constructors check it."""
         where = f"{self.path}: line {lineno}"
         if not isinstance(rec, dict):
             raise GammaCacheError(f"{where}: record is not a JSON object")
         missing = [f for f in _CACHE_FIELDS if f not in rec]
         if missing:
             raise GammaCacheError(f"{where}: invalid gamma record, missing fields {missing}")
-        s = rec["S"]
-        if (
-            not isinstance(s, list)
-            or not s
-            or any(not isinstance(r, int) or r < 1 for r in s)
-            or s != sorted(set(s))
-        ):
-            raise GammaCacheError(
-                f"{where}: invalid gamma record, S must be a sorted array of distinct positive integers"
+        ranks = "S must be a sorted array of distinct positive integers"
+        try:
+            if not isinstance(rec["S"], list):
+                raise ValueError(ranks)
+            key = GammaKey(d=rec["d"], p=rec["p"], spec=rec["S"], n_cal=rec["n_cal"], reps=rec["reps"])
+            if rec["S"] != list(key.spec):
+                raise ValueError(ranks)
+            if not isinstance(rec["tool_version"], str):
+                raise ValueError(f"tool_version must be a string, got {rec['tool_version']!r}")
+            return GammaEstimate(
+                key=key, seed=rec["seed"], mean=rec["mean"], std_error=rec["std_error"]
             )
-        if not isinstance(rec["mean"], (int, float)) or not rec["mean"] > 0:
-            raise GammaCacheError(f"{where}: invalid gamma record, mean must be > 0")
-        if not isinstance(rec["std_error"], (int, float)) or rec["std_error"] < 0:
-            raise GammaCacheError(f"{where}: invalid gamma record, std_error must be >= 0")
-        return rec
-
-    @staticmethod
-    def _matches(rec: dict, key: GammaKey) -> bool:
-        return (
-            rec["d"] == key.d
-            and rec["p"] == key.p
-            and rec["S"] == list(key.spec.indices)
-            and rec["n_cal"] == key.n_cal
-            and rec["reps"] == key.reps
-        )
-
-    @staticmethod
-    def _to_estimate(rec: dict, key: GammaKey) -> GammaEstimate:
-        return GammaEstimate(
-            key=key, seed=int(rec["seed"]), mean=float(rec["mean"]), std_error=float(rec["std_error"])
-        )
+        except ValueError as exc:
+            raise GammaCacheError(f"{where}: invalid gamma record, {exc}") from None
 
     def lookup(self, key: GammaKey) -> GammaEstimate | None:
         """Return the first cached estimate matching ``key``, if any."""
-        for rec in self.records():
-            if self._matches(rec, key):
-                return self._to_estimate(rec, key)
-        return None
+        return next((est for est in self.records() if est.key == key), None)
 
     def get_or_compute(
         self, key: GammaKey, seed: int = 0, workers: int = -1
@@ -270,9 +247,9 @@ class GammaCache:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
                 fh.seek(0)
-                for rec in self._parse(fh):
-                    if self._matches(rec, key):
-                        return self._to_estimate(rec, key), True
+                for cached in self._parse(fh):
+                    if cached.key == key:
+                        return cached, True
                 fh.seek(0, os.SEEK_END)
                 fh.write(json.dumps(estimate_record(est)) + "\n")
                 fh.flush()

@@ -54,7 +54,7 @@ from .experiments import (
     run_isa_experiment,
     run_rate_experiment,
 )
-from .points import NeighborSpec, PointSet
+from .points import NeighborSpec, PointSet, check_alpha
 
 __all__ = ["main"]
 
@@ -150,12 +150,7 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def cmd_calibrate(args) -> None:
-    if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {args.alpha}")
-        p = args.d * (1.0 - args.alpha)
-    else:
-        p = args.p
+    p = args.p if args.alpha is None else args.d * (1.0 - check_alpha(args.alpha))
     key = GammaKey(d=args.d, p=p, spec=args.S, n_cal=args.n_cal, reps=args.reps)
     if args.cache:
         estimate, _ = GammaCache(args.cache).get_or_compute(

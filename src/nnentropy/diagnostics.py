@@ -16,6 +16,10 @@ so those checks compare against constants frozen from a one-time empirical
 survey (``scripts/survey_constants.py``, grids documented there; frozen
 2026-08-15 at twice the maximum observed ratio). The frozen values live in
 :data:`SURVEYED`.
+
+Every check takes its sizes, dimensions, counts and partition granularity
+as integers (not bools or floats) and ``p`` as a finite real: in (0, d),
+or any ``p >= 0`` for the two exact identities.
 """
 
 from __future__ import annotations
@@ -27,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import build_boundary_graph, build_nn_graph, l_p
-from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set
+from .points import (
+    Cube,
+    PointSet,
+    as_neighbor_spec,
+    as_point_set,
+    check_integer,
+    check_power,
+    check_real,
+)
 from .samplers import _as_seed_sequence
 
 __all__ = [
@@ -70,13 +82,6 @@ GROWTH_SPREAD_BOUND = 3.0
 _DEFAULT_N_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
 
 
-def _validate_p(p, d) -> float:
-    p = float(p)
-    if not 0.0 < p < d:
-        raise ValueError(f"p must satisfy 0 < p < d = {d}, got {p}")
-    return p
-
-
 @dataclass(frozen=True)
 class TranslationScalingReport:
     """Relative errors of the exact translation/scaling identities."""
@@ -98,12 +103,8 @@ def check_translation_scaling(
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
-    p = float(p)
-    if p < 0 or not math.isfinite(p):
-        raise ValueError(f"p must be finite and >= 0, got {p}")
-    scale = float(scale)
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    p = check_power(p)
+    scale = check_real(scale, "scale")
     offset = np.full(ps.d, 0.5) if shift is None else np.asarray(shift, dtype=np.float64)
 
     base = l_p(build_nn_graph(ps, spec), p)
@@ -169,12 +170,8 @@ def check_boundary_and_superadditivity(points, spec, p, m: int) -> BoundaryRepor
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
-    p = float(p)
-    if p < 0 or not math.isfinite(p):
-        raise ValueError(f"p must be finite and >= 0, got {p}")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"partition granularity must be >= 1, got {m}")
+    p = check_power(p)
+    m = check_integer(m, "partition granularity m")
     cube = Cube.unit(ps.d)
 
     star_whole = l_p(build_boundary_graph(ps, spec, cube), p)
@@ -229,13 +226,9 @@ def check_growth_and_indegree(
     sweep (default ``n``: 256 to 8192 by doubling).
     """
     spec = as_neighbor_spec(spec)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    p = _validate_p(p, d)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    d = check_integer(d, "d")
+    p = check_power(p, d)
+    trials = check_integer(trials, "trials")
     if indegree_c is None:
         try:
             indegree_c = SURVEYED["indegree_c"][d]
@@ -243,13 +236,10 @@ def check_growth_and_indegree(
             raise ValueError(
                 f"no surveyed in-degree constant for d={d}; pass indegree_c explicitly"
             ) from None
-    indegree_c = float(indegree_c)
+    indegree_c = check_real(indegree_c, "indegree_c")
     if n is None:
-        sizes = _DEFAULT_N_SWEEP
-    elif np.isscalar(n):
-        sizes = (int(n),)
-    else:
-        sizes = tuple(int(v) for v in n)
+        n = _DEFAULT_N_SWEEP
+    sizes = tuple(check_integer(v, "n") for v in ((n,) if np.isscalar(n) else n))
 
     bound = indegree_c * spec.k
     max_indegree = 0
@@ -297,7 +287,7 @@ def check_smoothness(points, points2, spec, p) -> SmoothnessReport:
     if ps.d != ps2.d:
         raise ValueError(f"point sets have different dimensions: {ps.d} and {ps2.d}")
     spec = as_neighbor_spec(spec)
-    p = _validate_p(p, ps.d)
+    p = check_power(p, ps.d)
     bound = SURVEYED["smoothness"]
 
     rows = {row.tobytes() for row in ps.points}
@@ -332,10 +322,8 @@ def check_subadditivity(points, spec, p, m: int) -> SubadditivityReport:
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
-    p = _validate_p(p, ps.d)
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"partition granularity must be >= 1, got {m}")
+    p = check_power(p, ps.d)
+    m = check_integer(m, "partition granularity m")
     bound = SURVEYED["subadditivity"]
 
     whole = l_p(build_nn_graph(ps, spec), p)
@@ -377,16 +365,12 @@ def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0) -> AddOneRe
     dominates at small ``n``.
     """
     spec = as_neighbor_spec(spec)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    p = _validate_p(p, d)
-    n = int(n)
+    d = check_integer(d, "d")
+    p = check_power(p, d)
+    n = check_integer(n, "n")
     if n <= spec.k:
         raise ValueError(f"n must exceed max(S) = {spec.k}, got {n}")
-    seeds = int(seeds)
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    seeds = check_integer(seeds, "seeds")
     bound = SURVEYED["add_one"]
 
     small, big = [], []
@@ -420,8 +404,8 @@ def check_perturbation(points, spec, p, epsilons=(1e-3, 1e-2), seed=0) -> Pertur
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
-    p = float(p)
-    if not 0.0 < p < 1.0:
+    p = check_power(p, ps.d)
+    if p >= 1.0:
         raise ValueError(f"the perturbation bound applies for 0 < p < 1, got p={p}")
     bound = SURVEYED["perturbation"]
 
@@ -429,9 +413,7 @@ def check_perturbation(points, spec, p, epsilons=(1e-3, 1e-2), seed=0) -> Pertur
     epsilons = tuple(epsilons)
     ratios = []
     for eps, stream in zip(epsilons, _as_seed_sequence(seed).spawn(len(epsilons))):
-        eps = float(eps)
-        if eps <= 0:
-            raise ValueError(f"epsilon must be > 0, got {eps}")
+        eps = check_real(eps, "epsilon")
         noise = np.random.default_rng(stream).standard_normal((ps.n, ps.d))
         noise /= np.linalg.norm(noise, axis=1, keepdims=True)
         moved = l_p(build_nn_graph(ps.points + eps * noise, spec), p)

@@ -30,7 +30,15 @@ from .calibration import (
 )
 from .errors import DegenerateSampleError, HistogramInfeasibleError
 from .graph import build_nn_graph, l_p
-from .points import NeighborSpec, PointSet, as_neighbor_spec, as_point_set
+from .points import (
+    NeighborSpec,
+    PointSet,
+    as_neighbor_spec,
+    as_point_set,
+    check_alpha,
+    check_integer,
+    check_real,
+)
 
 __all__ = [
     "DEFAULT_SPEC",
@@ -63,21 +71,24 @@ class EstimatorSettings:
     Parameters
     ----------
     alpha : float
-        Entropy order, strictly inside (0, 1). The graph power is always
-        derived from it as ``p = d * (1 - alpha)``.
+        Entropy order, a real number (not a bool or a string) strictly
+        inside (0, 1). The graph power is always derived from it as
+        ``p = d * (1 - alpha)``.
     spec : NeighborSpec
         Neighbor ranks of the graph; defaults to {1, 2, 3}.
     gamma : float, GammaEstimate, "analytic", or None
-        How to obtain the normalizing constant. An explicit value or
-        estimate is used as given; ``"analytic"`` uses the closed form,
-        the sum of :func:`gamma_analytic` over the ranks in ``spec``;
+        How to obtain the normalizing constant. An explicit value (a
+        positive finite real, not a bool) or estimate is used as given;
+        ``"analytic"`` uses the closed form, the sum of
+        :func:`gamma_analytic` over the ranks in ``spec``;
         ``None`` calibrates through ``cache`` when set, or on the fly
         otherwise.
     cache : GammaCache, path, or None
         Persistent calibration cache consulted when ``gamma`` is None.
     n_cal, reps
         Monte-Carlo calibration size used on cache misses and on-the-fly
-        calibration, which always runs at seed 0.
+        calibration, which always runs at seed 0: integers (not bools or
+        floats) with ``n_cal > max(spec)`` and ``reps >= 1``.
     workers : int
         Worker threads for neighbor queries; -1 uses all cores.
     """
@@ -91,18 +102,16 @@ class EstimatorSettings:
     workers: int = -1
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "spec", as_neighbor_spec(self.spec))
-        if isinstance(self.gamma, bool) or (isinstance(self.gamma, str) and self.gamma != "analytic"):
-            raise ValueError(f'gamma must be a number, a GammaEstimate, "analytic", or None; got {self.gamma!r}')
-        if isinstance(self.gamma, Real):
-            g = float(self.gamma)
-            if not (math.isfinite(g) and g > 0.0):
-                raise ValueError(f"explicit gamma must be positive and finite, got {g}")
-            object.__setattr__(self, "gamma", g)
+        spec = as_neighbor_spec(self.spec)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", spec.k + 1))
+        object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
+        g = self.gamma
+        if isinstance(g, Real):
+            object.__setattr__(self, "gamma", check_real(g, "explicit gamma"))
+        elif not (g is None or isinstance(g, GammaEstimate) or g == "analytic"):
+            raise ValueError(f'gamma must be a number, a GammaEstimate, "analytic", or None; got {g!r}')
         cache = self.cache
         if cache is not None and not isinstance(cache, GammaCache):
             object.__setattr__(self, "cache", GammaCache(cache))
@@ -176,7 +185,8 @@ def resolve_settings(settings: EstimatorSettings, d: int) -> EstimatorSettings:
     """
     if isinstance(settings.gamma, Real):
         return settings
-    gamma, _, _ = _resolve_gamma(settings, int(d), settings.p(int(d)))
+    d = check_integer(d, "d")
+    gamma, _, _ = _resolve_gamma(settings, d, settings.p(d))
     return replace(settings, gamma=gamma)
 
 
@@ -285,9 +295,7 @@ def histogram_entropy(points, alpha: float) -> EstimateReport:
     exceed :data:`HISTOGRAM_CELL_BUDGET` cells.
     """
     ps = as_point_set(points)
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    alpha = check_alpha(alpha)
     if ps.n < 2:
         raise DegenerateSampleError("degenerate sample: histogram needs at least two points")
     X = ps.points

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .calibration import DEFAULT_N_CAL, DEFAULT_REPS
 from .errors import DataFormatError, HistogramInfeasibleError
 from .estimators import EstimatorSettings, histogram_mi, renyi_mi, resolve_settings
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
-from .points import NeighborSpec, as_neighbor_spec
+from .points import NeighborSpec, as_neighbor_spec, check_alpha, check_integer, check_real
 from .samplers import (
     WIREFRAME_SHAPES,
     DistributionSpec,
@@ -66,6 +66,7 @@ def mi_truth(spec: DistributionSpec, alpha: float) -> float:
     coordinates, so the truth is 0; Gaussians have a closed form. Anything
     else raises ``ValueError`` — supply the truth explicitly in the config.
     """
+    alpha = check_alpha(alpha)
     if isinstance(spec, UniformCube):
         return 0.0
     if isinstance(spec, Product) and all(spec_dim(part) == 1 for part in spec.parts):
@@ -86,8 +87,8 @@ def _distribution_from_json(obj) -> DistributionSpec:
     """
     if isinstance(obj, dict) and obj.get("kind") == "gaussian" and "cov" not in obj:
         try:
-            d = int(obj["d"])
-            rho = float(obj.get("rho", 0.0))
+            d = check_integer(obj["d"], "d")
+            rho = check_real(obj.get("rho", 0.0), "rho", -math.inf)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"invalid gaussian shorthand: {exc}") from None
         cov = np.full((d, d), rho)
@@ -103,7 +104,9 @@ class RateExperimentConfig:
     ``truth`` is the target mutual information the errors are measured
     against; :meth:`from_dict` resolves the string ``"auto"`` through
     :func:`mi_truth`. ``estimators`` pairs a CSV label with the neighbor
-    ranks it uses.
+    ranks it uses. Every field is checked on construction: the sizes,
+    ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
+    floats), ``alpha`` a real in (0, 1) and ``histogram`` a bool.
     """
 
     distribution: DistributionSpec
@@ -117,23 +120,24 @@ class RateExperimentConfig:
     reps: int = DEFAULT_REPS
 
     def __post_init__(self) -> None:
-        truth = float(self.truth)
-        if not math.isfinite(truth):
-            raise ValueError(f"truth must be finite, got {truth}")
-        object.__setattr__(self, "truth", truth)
-        grid = tuple(int(n) for n in self.n_grid)
-        if not grid or any(n < 2 for n in grid):
-            raise ValueError(f"n_grid must hold sizes >= 2, got {self.n_grid!r}")
+        object.__setattr__(self, "truth", check_real(self.truth, "truth", -math.inf))
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise ValueError(f"n_grid must be a nonempty list of sizes, got {self.n_grid!r}")
+        grid = tuple(check_integer(n, "n_grid size", 2) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
-        if int(self.runs) < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         ests = tuple((str(label), as_neighbor_spec(spec)) for label, spec in self.estimators)
         if not ests:
             raise ValueError("at least one estimator is required")
         if len({label for label, _ in ests}) != len(ests):
             raise ValueError("estimator labels must be distinct")
         object.__setattr__(self, "estimators", ests)
+        if not isinstance(self.histogram, bool):
+            raise ValueError(f"histogram must be true or false, got {self.histogram!r}")
+        k = max(spec.k for _, spec in ests)
+        object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", k + 1))
+        object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
 
     @classmethod
     def from_dict(cls, obj: dict) -> RateExperimentConfig:
@@ -150,33 +154,26 @@ class RateExperimentConfig:
         if "distribution" not in obj:
             raise DataFormatError("rate config needs a 'distribution'")
         dist = _distribution_from_json(obj["distribution"])
-        alpha = float(obj.get("alpha", 0.7))
-        truth = obj.get("truth", "auto")
-        if truth == "auto":
-            try:
-                truth = mi_truth(dist, alpha)
-            except ValueError as exc:
-                raise DataFormatError(str(exc)) from None
-        elif not isinstance(truth, Real):
-            raise DataFormatError(f'truth must be a number or "auto", got {truth!r}')
-        kwargs = {}
+        fields = ("n_grid", "runs", "histogram", "n_cal", "reps")
+        kwargs = {key: obj[key] for key in fields if key in obj}
         if "estimators" in obj:
             ests = obj["estimators"]
             if not isinstance(ests, list):
                 raise DataFormatError("'estimators' must be a list of {label, S} objects")
-            parsed = []
             for entry in ests:
                 if not isinstance(entry, dict) or set(entry) != {"label", "S"}:
                     raise DataFormatError(
                         "each estimator must be an object with exactly 'label' and 'S'"
                     )
-                parsed.append((str(entry["label"]), as_neighbor_spec(entry["S"])))
-            kwargs["estimators"] = tuple(parsed)
-        for key in ("n_grid", "runs", "histogram", "n_cal", "reps"):
-            if key in obj:
-                kwargs[key] = obj[key]
+            kwargs["estimators"] = tuple((entry["label"], entry["S"]) for entry in ests)
+        truth = obj.get("truth", "auto")
+        if not (truth == "auto" or isinstance(truth, Real)):
+            raise DataFormatError(f'truth must be a number or "auto", got {truth!r}')
         try:
-            return cls(distribution=dist, truth=float(truth), alpha=alpha, **kwargs)
+            alpha = check_alpha(obj.get("alpha", 0.7))
+            if truth == "auto":
+                truth = mi_truth(dist, alpha)
+            return cls(distribution=dist, truth=truth, alpha=alpha, **kwargs)
         except ValueError as exc:
             raise DataFormatError(str(exc)) from None
 
@@ -323,7 +320,9 @@ class IsaExperimentConfig:
     ``shapes`` names the wireframe sources (one block each); 2-D blocks
     use the xy projection of the shape. ``mixing`` is either a seeded
     standard-normal matrix or the identity; ``q`` lifts the observations
-    to a higher dimension (random mixing only).
+    to a higher dimension (random mixing only). Every field is checked on
+    construction: ``subspace_dim``, ``n``, ``q``, ``n_cal`` and ``reps``
+    must be integers (not bools or floats) and ``alpha`` a real in (0, 1).
     """
 
     shapes: tuple[str, ...]
@@ -346,23 +345,23 @@ class IsaExperimentConfig:
                     f"unknown wireframe shape {shape!r}; choose from {sorted(WIREFRAME_SHAPES)}"
                 )
         object.__setattr__(self, "shapes", shapes)
-        d = int(self.subspace_dim)
-        if d not in (2, 3):
-            raise ValueError(f"subspace_dim must be 2 or 3, got {self.subspace_dim}")
+        d = check_integer(self.subspace_dim, "subspace_dim", 2)
+        if d > 3:
+            raise ValueError(f"subspace_dim must be 2 or 3, got {d}")
         object.__setattr__(self, "subspace_dim", d)
-        if int(self.n) < 10:
-            raise ValueError(f"n must be at least 10, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "spec", as_neighbor_spec(self.spec))
+        object.__setattr__(self, "n", check_integer(self.n, "n", 10))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        spec = as_neighbor_spec(self.spec)
+        object.__setattr__(self, "spec", spec)
         if self.mixing not in ("gaussian", "identity"):
             raise ValueError(f"mixing must be 'gaussian' or 'identity', got {self.mixing!r}")
         dm = d * len(shapes)
-        q = dm if self.q is None else int(self.q)
-        if q < dm:
-            raise ValueError(f"q must be at least subspace_dim * num_sources = {dm}, got {q}")
+        q = dm if self.q is None else check_integer(self.q, "q", dm)
         if self.mixing == "identity" and q != dm:
             raise ValueError("identity mixing requires q == subspace_dim * num_sources")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", spec.k + 1))
+        object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
 
     @classmethod
     def from_dict(cls, obj: dict) -> IsaExperimentConfig:
@@ -424,6 +423,8 @@ class IsaExperimentResult:
             "blocks": [list(b) for b in self.solution.blocks],
             "objective": self.solution.objective,
             "amari_block_index": self.solution.score,
+            "iterations": self.solution.iterations,
+            "converged": self.solution.converged,
             "warnings": list(self.solution.warnings),
         }
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InsufficientPointsError
 from .neighbors import knn_all
-from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set
+from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set, check_power
 
 __all__ = ["NNGraph", "build_nn_graph", "build_boundary_graph", "l_p"]
 
@@ -125,8 +125,5 @@ def l_p(graph: NNGraph, p: float) -> float:
     Summation is exactly rounded (math.fsum), so the value is independent
     of edge order and of how the graph was built.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError(f"p must be a finite nonnegative number, got {p}")
-    powered = graph.length**p
+    powered = graph.length ** check_power(p)
     return math.fsum(powered.flat)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError
 from .estimators import EstimatorSettings, renyi_mi, resolve_settings
-from .points import PointSet, as_point_set
+from .points import PointSet, as_point_set, check_integer
 
 __all__ = [
     "IsaProblem",
@@ -52,11 +52,8 @@ class IsaProblem:
     def __post_init__(self) -> None:
         obs = as_point_set(self.observations)
         object.__setattr__(self, "observations", obs)
-        d, m = int(self.subspace_dim), int(self.num_sources)
-        if d < 1:
-            raise ValueError(f"subspace_dim must be >= 1, got {d}")
-        if m < 2:
-            raise ValueError(f"num_sources must be >= 2, got {m}")
+        d = check_integer(self.subspace_dim, "subspace_dim")
+        m = check_integer(self.num_sources, "num_sources", 2)
         object.__setattr__(self, "subspace_dim", d)
         object.__setattr__(self, "num_sources", m)
         if obs.d < d * m:
@@ -80,7 +77,9 @@ class IsaSolution:
     ``blocks`` partitions the component indices into blocks of the
     subspace dimension; ``objective`` is the attained sum of within-block
     mutual information; ``score`` is the block-structure index against the
-    true mixing when known (lower is better, 0 is perfect).
+    true mixing when known (lower is better, 0 is perfect). ``iterations``
+    and ``converged`` report the ICA stage of :func:`run_isa` (None when
+    the components were grouped without it).
     """
 
     separation: np.ndarray
@@ -88,6 +87,8 @@ class IsaSolution:
     objective: float
     score: float | None = None
     warnings: tuple[str, ...] = ()
+    iterations: int | None = None
+    converged: bool | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +124,8 @@ def whiten(points, n_components: int | None = None) -> tuple[PointSet, np.ndarra
     centered = X - X.mean(axis=0)
     cov = (centered.T @ centered) / (ps.n - 1)
     w, u = np.linalg.eigh(cov)
-    keep = ps.d if n_components is None else int(n_components)
-    if not (1 <= keep <= ps.d):
+    keep = ps.d if n_components is None else check_integer(n_components, "n_components")
+    if keep > ps.d:
         raise ValueError(f"n_components must be in [1, {ps.d}], got {n_components}")
     # eigh returns ascending eigenvalues; the leading directions are last.
     if w[ps.d - keep] <= 1e-12 * max(w[-1], 1.0):
@@ -155,6 +156,7 @@ def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
     iterations (recorded as a warning in the result, not an error).
     """
     ps = as_point_set(points)
+    max_iter = check_integer(max_iter, "max_iter")
     X = ps.points
     n, q = X.shape
     rng = np.random.default_rng(seed)
@@ -230,9 +232,7 @@ def group_components(
     blocks, then shared by every evaluation.
     """
     ps = as_point_set(ics)
-    d, m = int(subspace_dim), int(num_sources)
-    if d < 1 or m < 1:
-        raise ValueError("subspace_dim and num_sources must be positive")
+    d, m = check_integer(subspace_dim, "subspace_dim"), check_integer(num_sources, "num_sources")
     if ps.d != d * m:
         raise ValueError(
             f"{ps.d} components cannot be grouped into {m} blocks of {d}"
@@ -295,9 +295,7 @@ def _swap_refine(blocks: list[list[int]], block_mi, max_sweeps: int = 100) -> li
 
 def block_norm_matrix(g, subspace_dim: int, num_sources: int) -> np.ndarray:
     """Collapse a (dm, dm) matrix to the (m, m) grid of block Frobenius norms."""
-    d, m = int(subspace_dim), int(num_sources)
-    if d < 1 or m < 1:
-        raise ValueError("subspace_dim and num_sources must be positive")
+    d, m = check_integer(subspace_dim, "subspace_dim"), check_integer(num_sources, "num_sources")
     g = np.asarray(g, dtype=np.float64)
     if g.shape != (d * m, d * m):
         raise ValueError(f"matrix must have shape ({d * m}, {d * m}), got {g.shape}")
@@ -312,10 +310,8 @@ def amari_block_index(g, subspace_dim: int, num_sources: int) -> float:
     single dominant entry. The result lies in [0, 1]: exactly 0 for scaled
     block permutations, 1 for a flat (all-equal-blocks) matrix.
     """
-    d, m = int(subspace_dim), int(num_sources)
-    if m < 2:
-        raise ValueError("need num_sources >= 2")
-    norms = block_norm_matrix(g, d, m)
+    m = check_integer(num_sources, "num_sources", 2)
+    norms = block_norm_matrix(g, subspace_dim, m)
     row_max = norms.max(axis=1, keepdims=True)
     col_max = norms.max(axis=0, keepdims=True)
     if (row_max == 0).any() or (col_max == 0).any():
@@ -332,7 +328,9 @@ def run_isa(problem: IsaProblem, settings: EstimatorSettings, seed=0) -> IsaSolu
     leading directions when the observation space is larger), unmixes them
     with the fixed-point ICA, groups the components, and composes the full
     separation matrix. A known true mixing matrix yields a block-structure
-    score; non-convergence of the ICA stage surfaces in ``warnings``.
+    score; the ICA stage's iteration count and convergence flag are
+    carried on the solution, and non-convergence also surfaces in
+    ``warnings``.
     ``seed`` drives only the ICA initialization; on-the-fly calibration
     always runs at seed 0.
     """
@@ -352,4 +350,6 @@ def run_isa(problem: IsaProblem, settings: EstimatorSettings, seed=0) -> IsaSolu
         objective=grouped.objective,
         score=score,
         warnings=ica.warnings,
+        iterations=ica.iterations,
+        converged=ica.converged,
     )

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientPointsError
-from .points import as_point_set
+from .points import as_point_set, check_integer
 
 __all__ = ["knn_all"]
 
@@ -70,11 +70,7 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     ps = as_point_set(points)
     X = ps.points
     n = X.shape[0]
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = check_integer(k, "k")
     if k >= n:
         raise InsufficientPointsError(
             f"k={k} neighbor ranks requested but the sample has only {n} points "

@@ -1,13 +1,19 @@
-"""Point sets, neighbor-rank specifications, and axis-aligned cubes.
+"""Point sets, neighbor-rank specifications, axis-aligned cubes, and the
+parameter checks.
 
-These are the small immutable value types shared by the graph layer, the
-estimators, and the diagnostics.
+The value types are the small immutable ones shared by the graph layer, the
+estimators, and the diagnostics. The four ``check_*`` functions are the one
+check for each kind of scalar parameter (an integer with a minimum, the
+order alpha, the power p, a finite real) that every entry point of the
+package applies: an integer parameter must be an integer, not a bool or a
+float, and a real one a finite number, not a bool or a string.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -19,7 +25,55 @@ __all__ = [
     "Cube",
     "as_point_set",
     "as_neighbor_spec",
+    "check_integer",
+    "check_alpha",
+    "check_power",
+    "check_real",
 ]
+
+
+def check_integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an ``int``: an integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, minimum: float = 0.0, strict: bool = True) -> float:
+    """``value`` as a ``float``: a finite real (not a bool) above ``minimum``.
+
+    ``strict=False`` also admits ``minimum`` itself; ``minimum=-inf``
+    admits every finite real.
+    """
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (x > minimum or (not strict and x == minimum)):
+            return x
+    bound = "" if minimum == -math.inf else f" {'>' if strict else '>='} {minimum:g}"
+    raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+
+
+def check_alpha(alpha) -> float:
+    """The entropy order as a ``float``: a real (not a bool) strictly in (0, 1)."""
+    if isinstance(alpha, Real) and not isinstance(alpha, bool) and 0.0 < alpha < 1.0:
+        return float(alpha)
+    raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+
+
+def check_power(p, d: int | None = None) -> float:
+    """The graph power as a ``float``: finite and in (0, d).
+
+    Without ``d`` any finite ``p >= 0`` is admitted, the range on which the
+    length functional and its exact identities are defined.
+    """
+    if d is None:
+        return check_real(p, "p", strict=False)
+    if isinstance(p, Real) and not isinstance(p, bool) and 0.0 < p < d:
+        return float(p)
+    raise ValueError(f"p must satisfy 0 < p < d = {d}, got {p!r}")
 
 
 class PointSet:
@@ -91,13 +145,8 @@ class NeighborSpec:
             raise ValueError("neighbor ranks must be an iterable of integers") from None
         if not raw:
             raise ValueError("neighbor spec needs at least one rank")
-        for r in raw:
-            if not isinstance(r, Integral) or isinstance(r, bool):
-                raise ValueError(f"neighbor ranks must be integers, got {r!r}")
-        cleaned = tuple(sorted({int(r) for r in raw}))
-        if cleaned[0] < 1:
-            raise ValueError(f"neighbor ranks must be >= 1, got {cleaned[0]}")
-        object.__setattr__(self, "indices", cleaned)
+        cleaned = sorted({check_integer(r, "neighbor rank") for r in raw})
+        object.__setattr__(self, "indices", tuple(cleaned))
 
     @property
     def k(self) -> int:
@@ -118,7 +167,7 @@ class NeighborSpec:
     @classmethod
     def first(cls, k: int) -> "NeighborSpec":
         """The spec ``{1, ..., k}`` of all ranks up to ``k``."""
-        return cls(tuple(range(1, int(k) + 1)))
+        return cls(tuple(range(1, check_integer(k, "k") + 1)))
 
     @classmethod
     def parse(cls, text: str) -> "NeighborSpec":
@@ -139,7 +188,7 @@ def as_neighbor_spec(obj) -> NeighborSpec:
         return obj
     if isinstance(obj, str):
         return NeighborSpec.parse(obj)
-    return NeighborSpec(tuple(obj))
+    return NeighborSpec(obj)
 
 
 @dataclass(frozen=True)
@@ -153,17 +202,14 @@ class Cube:
         lo = np.array(self.lower, dtype=np.float64, copy=True).reshape(-1)
         if lo.size < 1 or not np.isfinite(lo).all():
             raise ValueError("cube lower corner must be a finite vector")
-        side = float(self.side)
-        if not np.isfinite(side) or side <= 0.0:
-            raise ValueError(f"cube side must be positive and finite, got {side}")
         lo.flags.writeable = False
         object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "side", check_real(self.side, "cube side"))
 
     @classmethod
     def unit(cls, d: int) -> "Cube":
         """The unit cube ``[0, 1]^d``."""
-        return cls(np.zeros(int(d)), 1.0)
+        return cls(np.zeros(check_integer(d, "d")), 1.0)
 
     @property
     def d(self) -> int:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import DataFormatError
-from .points import PointSet, as_point_set
+from .points import PointSet, as_point_set, check_integer, check_real
 
 __all__ = [
     "UniformCube",
@@ -42,13 +41,8 @@ class UniformCube:
     side: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, Integral) or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        side = float(self.side)
-        if not (math.isfinite(side) and side > 0):
-            raise ValueError(f"side must be positive and finite, got {side}")
-        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "d", check_integer(self.d, "d"))
+        object.__setattr__(self, "side", check_real(self.side, "side"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +85,8 @@ class Wireframe3D:
         if self.shape_id not in WIREFRAME_SHAPES:
             known = ", ".join(sorted(WIREFRAME_SHAPES))
             raise ValueError(f"unknown wireframe shape {self.shape_id!r} (known: {known})")
-        axes = tuple(int(a) for a in self.axes)
-        if not axes or len(set(axes)) != len(axes) or any(a not in (0, 1, 2) for a in axes):
+        axes = tuple(check_integer(a, "axes", 0) for a in self.axes)
+        if not axes or len(set(axes)) != len(axes) or any(a > 2 for a in axes):
             raise ValueError(f"axes must be distinct values from (0, 1, 2), got {self.axes!r}")
         object.__setattr__(self, "axes", axes)
 
@@ -208,9 +202,7 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
 
 def sample(spec: DistributionSpec, n: int, seed=0) -> PointSet:
     """Draw ``n`` i.i.d. points from ``spec``; deterministic given ``seed``."""
-    if not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = check_integer(n, "n")
     ss = _as_seed_sequence(seed)
 
     if isinstance(spec, Product):
@@ -280,11 +272,8 @@ def random_covariance(d: int, condition_cap: float = 10.0, seed=0) -> np.ndarray
     eigenvalues drawn log-uniformly within the condition cap, so the
     condition number never exceeds ``condition_cap``.
     """
-    if not isinstance(d, Integral) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    condition_cap = float(condition_cap)
-    if condition_cap < 1.0:
-        raise ValueError(f"condition_cap must be >= 1, got {condition_cap}")
+    d = check_integer(d, "d")
+    condition_cap = check_real(condition_cap, "condition_cap", 1.0, strict=False)
     rng = np.random.default_rng(_as_seed_sequence(seed))
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     q = q * np.sign(np.diag(r))

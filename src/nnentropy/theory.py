@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .points import check_alpha, check_integer, check_power, check_real
+
 __all__ = [
     "uniform_entropy",
     "gaussian_renyi_entropy",
@@ -20,24 +22,13 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return alpha
-
-
 def uniform_entropy(d: int, side: float = 1.0) -> float:
     """Entropy of the uniform distribution on a cube of the given side.
 
     Equals ``d * log(side)`` for every order alpha (the density is flat, so
     all Renyi entropies coincide with the log-volume).
     """
-    d = int(d)
-    side = float(side)
-    if d < 1 or side <= 0.0:
-        raise ValueError("need d >= 1 and side > 0")
-    return d * math.log(side)
+    return check_integer(d, "d") * math.log(check_real(side, "side"))
 
 
 def _logdet(matrix: np.ndarray) -> float:
@@ -53,7 +44,7 @@ def gaussian_renyi_entropy(cov, alpha: float) -> float:
     Integrating the alpha-th power of the Gaussian density gives
     ``(d/2) log(2 pi) + (1/2) log|cov| - (d/2) * log(alpha) / (1 - alpha)``.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     d = cov.shape[0]
     if cov.shape != (d, d):
@@ -77,7 +68,7 @@ def gaussian_renyi_mi(cov, alpha: float) -> float:
 
     Zero when ``C`` is diagonal (independent coordinates).
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
     d = cov.shape[0]
     if cov.shape != (d, d) or d < 2:
@@ -103,10 +94,8 @@ def mi_rate_exponent(d: int, p: float) -> float:
     Meaningful for ``d >= 3`` and ``alpha = 1 - p/d`` in (1/2, 1), where
     all branches are positive.
     """
-    d = int(d)
-    p = float(p)
-    if d < 1 or not (0.0 < p < d):
-        raise ValueError(f"need d >= 1 and 0 < p < d, got d={d}, p={p}")
+    d = check_integer(d, "d")
+    p = check_power(p, d)
     if p <= 1.0:
         return min((d - p) / (d * (2.0 * d - p)), p / 2.0 - p / d)
     if p <= d - 1.0:

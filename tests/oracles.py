@@ -11,23 +11,26 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import trapezoid
 from scipy.stats import multivariate_normal, norm
 
 
 def brute_knn(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs k-nearest-neighbor reference.
 
-    Computes the full (n, n) distance matrix, excludes self-distances, and
-    sorts each row by (distance, index). Returns ``(indices, distances)``
-    of shape ``(n, k)`` each.
+    Computes the full (n, n) squared-distance matrix, excludes
+    self-distances, and sorts each row by (squared distance, index); two
+    distinct squared distances can share a rounded square root, so sorting
+    by the root would break such ties differently. Returns
+    ``(indices, distances)`` of shape ``(n, k)`` each.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    order = np.lexsort((np.tile(np.arange(n), (n, 1)), dist), axis=1)[:, :k]
-    return order, np.take_along_axis(dist, order, axis=1)
+    sq = (diff * diff).sum(axis=-1)
+    np.fill_diagonal(sq, np.inf)
+    order = np.lexsort((np.tile(np.arange(n), (n, 1)), sq), axis=1)[:, :k]
+    return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
 
 
 def equal_block_partitions(items: tuple[int, ...], block_size: int):
@@ -57,7 +60,7 @@ def quad_gaussian_entropy_1d(variance: float, alpha: float, grid: int = 20001, s
     sigma = math.sqrt(variance)
     x = np.linspace(-span * sigma, span * sigma, grid)
     f = norm.pdf(x, scale=sigma)
-    integral = np.trapezoid(f**alpha, x)
+    integral = trapezoid(f**alpha, x)
     return math.log(integral) / (1.0 - alpha)
 
 
@@ -80,9 +83,9 @@ def quad_gaussian_mi_3d(cov: np.ndarray, alpha: float, grid: int = 161, span: fl
     for i, x1 in enumerate(x):
         pts = np.column_stack([np.full(len(x23), x1), x23])
         integrand = joint.pdf(pts) ** alpha * (marg[i] * prod23) ** (1.0 - alpha)
-        inner = np.trapezoid(integrand.reshape(grid, grid), x, axis=1)
-        slices[i] = np.trapezoid(inner, x)
-    integral = np.trapezoid(slices, x)
+        inner = trapezoid(integrand.reshape(grid, grid), x, axis=1)
+        slices[i] = trapezoid(inner, x)
+    integral = trapezoid(slices, x)
     return math.log(integral) / (alpha - 1.0)
 
 

@@ -191,6 +191,21 @@ class TestGammaCache:
         with pytest.raises(GammaCacheError, match="sorted array"):
             GammaCache(path).records()
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"d": True, "S": [True]}, {"mean": True}, {"n_cal": 1000.0}, {"seed": "x"}],
+        ids=["bool-d-and-rank", "bool-mean", "float-n_cal", "string-seed"],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, changes):
+        """Each record differs from one the key would match in one mistyped field."""
+        rec = {"d": 1, "p": 0.5, "S": [1], "n_cal": 1000, "reps": 2, "seed": 0,
+               "mean": 9.0, "std_error": 0.0, "tool_version": "0.1.0"}
+        path = tmp_path / "g.jsonl"
+        path.write_text(json.dumps({**rec, **changes}) + "\n")
+        key = GammaKey(d=1, p=0.5, spec=(1,), n_cal=1000, reps=2)
+        with pytest.raises(GammaCacheError, match="line 1: invalid gamma record"):
+            GammaCache(path).lookup(key)
+
 
 def test_estimate_record_fields():
     rec = estimate_record(estimate_gamma(FAST_KEY, seed=1))

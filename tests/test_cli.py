@@ -222,6 +222,22 @@ class TestRateExperiment:
         assert code == 3
         assert "unknown rate config keys" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("runs", 2.5), ("runs", "3"), ("histogram", "false")],
+        ids=["float-runs", "string-runs", "string-histogram"],
+    )
+    def test_mistyped_field_is_data_error(self, tmp_path, field, value, capsys):
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({**self.CONFIG, field: value}), encoding="utf-8")
+        out_csv = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv)], capsys
+        )
+        assert code == 3
+        assert field in err
+        assert not out_csv.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["rate-experiment", "--config", str(tmp_path / "nope.json"),
@@ -270,6 +286,20 @@ class TestIsa:
                     + cache_arg, capsys)
             runs.append((out_dir / "solution.json").read_text())
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("alpha", 1.5), ("n_cal", 2.5e5), ("n", 10.9)],
+        ids=["alpha-out-of-range", "float-n_cal", "float-n"],
+    )
+    def test_bad_field_is_data_error(self, tmp_path, field, value, capsys):
+        path = tmp_path / "isa.json"
+        path.write_text(json.dumps({**self.CONFIG, field: value}), encoding="utf-8")
+        out_dir = tmp_path / "isa-out"
+        code, _, err = run_cli(["isa", "--config", str(path), "--out-dir", str(out_dir)], capsys)
+        assert code == 3
+        assert field in err
+        assert not out_dir.exists()
 
     def test_config_and_paper_scale_are_exclusive(self, tmp_path, capsys):
         config = self._write_config(tmp_path)

@@ -100,6 +100,23 @@ class TestRateConfig:
                 "labels must be distinct",
             ),
             ({"distribution": {"kind": "uniform_cube", "d": 2}, "n_grid": [1]}, "n_grid"),
+            (
+                {"distribution": {"kind": "uniform_cube", "d": 2}, "n_grid": 64},
+                "n_grid must be a nonempty list",
+            ),
+            ({"distribution": {"kind": "uniform_cube", "d": 2}, "n_grid": [64.0]}, "n_grid size"),
+            ({"distribution": {"kind": "uniform_cube", "d": 2}, "alpha": True}, "alpha must lie"),
+            ({"distribution": {"kind": "uniform_cube", "d": 2}, "truth": True}, "truth must be a finite"),
+            ({"distribution": {"kind": "uniform_cube", "d": 2}, "truth": 10**400}, "truth must be a finite"),
+            ({"distribution": {"kind": "uniform_cube", "d": 2}, "reps": True}, "reps must be an integer"),
+            (
+                {
+                    "distribution": {"kind": "uniform_cube", "d": 2},
+                    "estimators": [{"label": "a", "S": [0]}],
+                },
+                "neighbor rank",
+            ),
+            ({"distribution": {"kind": "gaussian", "d": 3.5, "rho": 0.5}}, "d must be an integer"),
             ("nope", "must be a JSON object"),
         ],
     )
@@ -225,6 +242,9 @@ class TestIsaConfig:
             ({"shapes": ["spiral", "zigzag"], "blocks": 2}, "unknown ISA config keys"),
             ({"shapes": ["spiral", "zigzag"], "n": 5}, "n must be"),
             ([], "must be a JSON object"),
+            ({"shapes": ["spiral", "zigzag"], "q": 4.0}, "q must be an integer"),
+            ({"shapes": ["spiral", "zigzag"], "subspace_dim": True}, "subspace_dim must be an integer"),
+            ({"shapes": ["spiral", "zigzag"], "reps": 0}, "reps must be an integer"),
         ],
     )
     def test_from_dict_errors(self, obj, message):
@@ -246,8 +266,12 @@ class TestRunIsaExperiment:
         assert result.solution.score is not None
         assert result.block_norms.shape == (2, 2)
         digest = result.to_dict()
-        assert set(digest) == {"config", "blocks", "objective", "amari_block_index", "warnings"}
+        assert set(digest) == {
+            "config", "blocks", "objective", "amari_block_index", "iterations", "converged", "warnings",
+        }
         assert digest["amari_block_index"] == result.solution.score
+        assert type(digest["iterations"]) is int and digest["iterations"] >= 1
+        assert type(digest["converged"]) is bool
 
     def test_identity_mixing(self, gamma_cache):
         result = run_isa_experiment(_tiny_isa_config(mixing="identity"), seed=1, cache=gamma_cache)

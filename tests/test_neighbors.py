@@ -49,7 +49,18 @@ def _duplicated_rows(d):
     return build
 
 
+def _equal_roots(rng):
+    # Points 1 and 2 lie at distinct squared lengths from point 0 whose square
+    # roots are the same float; the squared length orders them, so point 0's
+    # nearest neighbor is 2. The fifth point lets k = 4 run.
+    return np.array([
+        [0.0, 0.0], [1.1382403874954043, 0.0], [1.1033250198667084, 0.27975896815261486],
+        [5.0, 5.0], [-5.0, 5.0],
+    ])
+
+
 TIE_HEAVY = {
+    "equal-square-roots": _equal_roots,
     "duplicate-piles": _duplicate_piles,
     "integer-grid": _integer_grid,
     "rounded-gaussian-copula": _rounded_gaussian_copula,

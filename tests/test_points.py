@@ -1,4 +1,7 @@
-"""Value types: point sets, neighbor specs, cubes."""
+"""Value types: point sets, neighbor specs, cubes; the shared parameter checks."""
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +9,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from nnentropy import Cube, NeighborSpec, OutsideCubeError, PointSet, as_neighbor_spec, as_point_set
+from nnentropy import (
+    Cube,
+    EstimatorSettings,
+    GammaKey,
+    IsaExperimentConfig,
+    IsaProblem,
+    NeighborSpec,
+    OutsideCubeError,
+    PointSet,
+    RateExperimentConfig,
+    UniformCube,
+    Wireframe3D,
+    amari_block_index,
+    as_neighbor_spec,
+    as_point_set,
+    block_norm_matrix,
+    check_add_one,
+    check_boundary_and_superadditivity,
+    check_growth_and_indegree,
+    check_subadditivity,
+    estimate_gamma,
+    fastica,
+    gamma_analytic,
+    gaussian_renyi_entropy,
+    gaussian_renyi_mi,
+    group_components,
+    histogram_entropy,
+    histogram_mi,
+    knn_all,
+    mi_rate_exponent,
+    mi_truth,
+    random_covariance,
+    resolve_settings,
+    sample,
+    uniform_entropy,
+    whiten,
+)
 
 
 class TestPointSet:
@@ -90,7 +129,7 @@ class TestCube:
         assert cube.contains([[1.0, 3.0], [2.0, 2.0]])
         assert not cube.contains([[0.9, 2.0]])
 
-    @pytest.mark.parametrize("side", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, True])
     def test_rejects_bad_side(self, side):
         with pytest.raises(ValueError):
             Cube(np.zeros(2), side)
@@ -134,3 +173,91 @@ class TestCube:
         assert on_face.any(axis=1).all()
         assert np.allclose(np.linalg.norm(pts - b, axis=1), r)
         assert (r <= 0.5 + 1e-15).all()
+
+
+def _uniform(n=20, d=2):
+    return np.random.default_rng(0).random((n, d))
+
+
+_SETTINGS = EstimatorSettings(alpha=0.7, gamma=1.0)
+_TWO_SHAPES = ("spiral", "zigzag")
+
+# (parameter name, call taking the bad value) for every public entry point
+# with an integer parameter.
+INTEGER_PARAMETERS = [
+    ("knn_all", "k", lambda v: knn_all(_uniform(), v)),
+    ("NeighborSpec.first", "k", lambda v: NeighborSpec.first(v)),
+    ("Cube.unit", "d", lambda v: Cube.unit(v)),
+    ("UniformCube", "d", lambda v: UniformCube(v)),
+    ("Wireframe3D", "axes", lambda v: Wireframe3D("spiral", axes=(v,))),
+    ("sample", "n", lambda v: sample(UniformCube(2), v)),
+    ("random_covariance", "d", lambda v: random_covariance(v)),
+    ("GammaKey", "d", lambda v: GammaKey(d=v, p=0.5, spec=(1,))),
+    ("GammaKey", "n_cal", lambda v: GammaKey(d=2, p=0.5, spec=(1,), n_cal=v)),
+    ("GammaKey", "reps", lambda v: GammaKey(d=2, p=0.5, spec=(1,), reps=v)),
+    ("gamma_analytic", "d", lambda v: gamma_analytic(v, 0.5, 1)),
+    ("gamma_analytic", "k", lambda v: gamma_analytic(2, 0.5, v)),
+    ("estimate_gamma", "seed",
+     lambda v: estimate_gamma(GammaKey(d=1, p=0.5, spec=(1,), n_cal=10, reps=1), seed=v)),
+    ("EstimatorSettings", "n_cal", lambda v: EstimatorSettings(alpha=0.7, n_cal=v)),
+    ("EstimatorSettings", "reps", lambda v: EstimatorSettings(alpha=0.7, reps=v)),
+    ("resolve_settings", "d", lambda v: resolve_settings(EstimatorSettings(alpha=0.7), v)),
+    ("uniform_entropy", "d", lambda v: uniform_entropy(v)),
+    ("mi_rate_exponent", "d", lambda v: mi_rate_exponent(v, 0.5)),
+    ("check_boundary_and_superadditivity", "partition granularity m",
+     lambda v: check_boundary_and_superadditivity(_uniform(), (1,), 1.0, v)),
+    ("check_growth_and_indegree", "trials", lambda v: check_growth_and_indegree(v, 2, (1,), 1.0, n=64)),
+    ("check_growth_and_indegree", "d", lambda v: check_growth_and_indegree(1, v, (1,), 0.5, n=64)),
+    ("check_growth_and_indegree", "n", lambda v: check_growth_and_indegree(1, 2, (1,), 1.0, n=v)),
+    ("check_subadditivity", "partition granularity m",
+     lambda v: check_subadditivity(_uniform(), (1,), 1.0, v)),
+    ("check_add_one", "d", lambda v: check_add_one(v, (1,), 0.5, 16, seeds=1)),
+    ("check_add_one", "n", lambda v: check_add_one(2, (1,), 1.0, v, seeds=1)),
+    ("check_add_one", "seeds", lambda v: check_add_one(2, (1,), 1.0, 16, seeds=v)),
+    ("IsaProblem", "subspace_dim", lambda v: IsaProblem(_uniform(20, 4), v, 2)),
+    ("IsaProblem", "num_sources", lambda v: IsaProblem(_uniform(20, 4), 2, v)),
+    ("whiten", "n_components", lambda v: whiten(_uniform(20, 3), n_components=v)),
+    ("fastica", "max_iter", lambda v: fastica(_uniform(20, 2), max_iter=v)),
+    ("group_components", "subspace_dim", lambda v: group_components(_uniform(20, 4), v, 2, _SETTINGS)),
+    ("group_components", "num_sources", lambda v: group_components(_uniform(20, 4), 2, v, _SETTINGS)),
+    ("block_norm_matrix", "subspace_dim", lambda v: block_norm_matrix(np.eye(4), v, 2)),
+    ("block_norm_matrix", "num_sources", lambda v: block_norm_matrix(np.eye(4), 2, v)),
+    ("amari_block_index", "num_sources", lambda v: amari_block_index(np.eye(4), 2, v)),
+    ("RateExperimentConfig", "n_grid size",
+     lambda v: RateExperimentConfig(UniformCube(2), 0.0, n_grid=(v,))),
+    ("RateExperimentConfig", "runs", lambda v: RateExperimentConfig(UniformCube(2), 0.0, runs=v)),
+    ("RateExperimentConfig", "n_cal", lambda v: RateExperimentConfig(UniformCube(2), 0.0, n_cal=v)),
+    ("RateExperimentConfig", "reps", lambda v: RateExperimentConfig(UniformCube(2), 0.0, reps=v)),
+    ("IsaExperimentConfig", "subspace_dim", lambda v: IsaExperimentConfig(_TWO_SHAPES, subspace_dim=v)),
+    ("IsaExperimentConfig", "n", lambda v: IsaExperimentConfig(_TWO_SHAPES, n=v)),
+    ("IsaExperimentConfig", "q", lambda v: IsaExperimentConfig(_TWO_SHAPES, q=v)),
+    ("IsaExperimentConfig", "n_cal", lambda v: IsaExperimentConfig(_TWO_SHAPES, n_cal=v)),
+    ("IsaExperimentConfig", "reps", lambda v: IsaExperimentConfig(_TWO_SHAPES, reps=v)),
+]
+
+ALPHA_PARAMETERS = [
+    ("EstimatorSettings", lambda v: EstimatorSettings(alpha=v)),
+    ("histogram_entropy", lambda v: histogram_entropy(_uniform(), v)),
+    ("histogram_mi", lambda v: histogram_mi(_uniform(), v)),
+    ("mi_truth", lambda v: mi_truth(UniformCube(2), v)),
+    ("gaussian_renyi_entropy", lambda v: gaussian_renyi_entropy(np.eye(2), v)),
+    ("gaussian_renyi_mi", lambda v: gaussian_renyi_mi(np.eye(2), v)),
+    ("RateExperimentConfig", lambda v: RateExperimentConfig(UniformCube(2), 0.0, alpha=v)),
+    ("IsaExperimentConfig", lambda v: IsaExperimentConfig(_TWO_SHAPES, alpha=v)),
+]
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("bad", [True, 2.5], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "name, call", [c[1:] for c in INTEGER_PARAMETERS], ids=[f"{c[0]}.{c[1]}" for c in INTEGER_PARAMETERS]
+    )
+    def test_integer_parameters_reject_bools_and_floats(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [True, math.nan, "0.7"], ids=["bool", "nan", "string"])
+    @pytest.mark.parametrize("call", [c[1] for c in ALPHA_PARAMETERS], ids=[c[0] for c in ALPHA_PARAMETERS])
+    def test_alpha_rejects_bools_nan_and_strings(self, call, bad):
+        with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0, 1\)"):
+            call(bad)
