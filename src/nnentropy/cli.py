@@ -8,8 +8,10 @@ version and the effective settings); experiment tables are written as
 plot-ready CSV.
 
 Input CSV format: UTF-8, comma-separated, one sample per row, all rows the
-same width, finite decimal floats, no missing values. A single header line
-is auto-detected (any non-numeric cell in the first row).
+same width, finite decimal floats, no missing values. A leading byte-order
+mark is accepted and blank lines are skipped. Each cell is read as Python's
+``float()`` reads it. A single header line is auto-detected (any non-numeric
+cell in the first row).
 
 Exit codes: 0 success; 2 usage error (bad flags or parameter ranges);
 3 data error (unreadable input, malformed config or cache); 4 numerical
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -78,15 +81,64 @@ def _parse_gamma(text: str):
 
 
 def _read_csv(path) -> np.ndarray:
-    """Load a sample matrix, tolerating one auto-detected header line."""
+    """Load a sample matrix, tolerating one auto-detected header line.
+
+    The file is read and decoded once. One vectorized parse takes the common
+    case; every input it declines goes to the per-line parser, which gives
+    the same array for each file both accept and alone reports errors.
+    """
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
-            lines = list(csv.reader(handle))
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    points = _parse_fast(text)
+    return _parse_lines(path, text) if points is None else points
 
+
+def _looks_like_header(row) -> bool:
+    for cell in row:
+        try:
+            float(cell)
+        except ValueError:
+            return True
+    return False
+
+
+def _parse_fast(text: str) -> np.ndarray | None:
+    """The sample matrix from one ``np.loadtxt`` call, or None to decline.
+
+    Without quotes and bare CRs the rows are the ``\\n``-separated lines
+    split at commas, as ``csv.reader`` splits them. ``loadtxt`` reads a cell
+    as ``float()`` does, except that it strips ``\\x1c``-``\\x1f`` as
+    whitespace where ``float()`` rejects them, and that it rejects the
+    underscores and non-ASCII digits ``float()`` takes (a rejection only
+    declines). So the text is declined when it has a quote, a bare CR or one
+    of those four characters, when ``loadtxt`` fails, when no data row or a width
+    other than the first row's comes back, and when a value is not finite.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(c in text for c in '"\r\x1c\x1d\x1e\x1f'):
+        return None
+    lines = text.lstrip("\n").split("\n")
+    first = lines[0].split(",")
+    data = lines[1:] if _looks_like_header(first) else lines
+    if not any(data):  # loadtxt would warn on stderr, and no data is an error
+        return None
+    try:
+        points = np.loadtxt(data, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if points.shape[1] != len(first) or not np.isfinite(points).all():
+        return None
+    return points
+
+
+def _parse_lines(path, text: str) -> np.ndarray:
+    """Parse row by row with ``csv.reader``; errors name their line."""
+    lines = list(csv.reader(io.StringIO(text, newline="")))
     rows = [(lineno, row) for lineno, row in enumerate(lines, start=1) if row]
     if not rows:
         raise DataFormatError(f"{path}: no data")
@@ -111,16 +163,8 @@ def _read_csv(path) -> np.ndarray:
             values.append(value)
         return values
 
-    def looks_like_header(row):
-        for cell in row:
-            try:
-                float(cell)
-            except ValueError:
-                return True
-        return False
-
     first = rows[0][1]
-    data = rows[1:] if looks_like_header(first) else rows
+    data = rows[1:] if _looks_like_header(first) else rows
     if not data:
         raise DataFormatError(f"{path}: no data")
     width = len(first)

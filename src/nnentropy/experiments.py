@@ -78,6 +78,13 @@ def mi_truth(spec: DistributionSpec, alpha: float) -> float:
     )
 
 
+def _ranks_from_json(value, where: str) -> list:
+    """A rank set as the JSON configs give it: an array, not a comma string."""
+    if not isinstance(value, list):
+        raise DataFormatError(f"{where} must be a JSON array of ranks, got {value!r}")
+    return value
+
+
 def _distribution_from_json(obj) -> DistributionSpec:
     """Parse a distribution, allowing a Gaussian (d, rho) shorthand.
 
@@ -165,7 +172,9 @@ class RateExperimentConfig:
                     raise DataFormatError(
                         "each estimator must be an object with exactly 'label' and 'S'"
                     )
-            kwargs["estimators"] = tuple((entry["label"], entry["S"]) for entry in ests)
+            kwargs["estimators"] = tuple(
+                (entry["label"], _ranks_from_json(entry["S"], "estimators: S")) for entry in ests
+            )
         truth = obj.get("truth", "auto")
         if not (truth == "auto" or isinstance(truth, Real)):
             raise DataFormatError(f'truth must be a number or "auto", got {truth!r}')
@@ -379,7 +388,7 @@ class IsaExperimentConfig:
             raise DataFormatError("ISA config needs a 'shapes' list")
         kwargs = {key: obj[key] for key in known & set(obj) if key not in ("shapes", "S")}
         if "S" in obj:
-            kwargs["spec"] = obj["S"]
+            kwargs["spec"] = _ranks_from_json(obj["S"], "S")
         try:
             return cls(shapes=tuple(obj["shapes"]), **kwargs)
         except ValueError as exc:

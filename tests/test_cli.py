@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nnentropy.cli import main
+from nnentropy.cli import _parse_fast, _parse_lines, _read_csv, main
+from nnentropy.errors import DataFormatError
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -180,6 +183,131 @@ class TestMi:
         assert report["warnings"]  # dependence is perfect but d=2 is outside the guarantee
 
 
+ROWS = ["0.11,0.52", "0.23,0.91", "0.37,0.18", "0.45,0.66",
+        "0.58,0.34", "0.62,0.07", "0.79,0.83", "0.94,0.29"]
+POINTS = [[float(c) for c in row.split(",")] for row in ROWS]
+TEXT = "\n".join(ROWS) + "\n"
+AFTER_FIRST = "\n".join(ROWS[1:]) + "\n"
+
+# Cells and line breaks the vectorized parse declines or must not misread;
+# the per-line parser decides each of them.
+DECLINED = ["1_0", '"1.5"', "\u0663", "\u0661.\u0665", "inf", "-inf", "nan", "1e400", "",
+            " ", "#1", "1#", "\x1c1", "2\x1f", " 2.5", "1.5 ", "\t3", "\xa01", "x", "1,5",
+            "\ufeff1", "\u30001", "2\x85", "\u2028", "\r", "\n", "\r\n", "1e", "0x10", "+-1"]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+class TestCsvInput:
+    def estimate(self, path, capsys):
+        argv = ["entropy", str(path), "--alpha", "0.7", "--gamma", "1.0", "--S", "1"]
+        code, out, err = run_cli(argv, capsys)
+        return code, (json.loads(out) if code == 0 else None), err
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path, capsys):
+        plain, bom, bom_header = (tmp_path / f"{name}.csv" for name in ("plain", "bom", "head"))
+        plain.write_text(TEXT, encoding="utf-8")
+        bom.write_text("\ufeff" + TEXT, encoding="utf-8")
+        bom_header.write_text("\ufeffx,y\n" + TEXT, encoding="utf-8")
+        reports = [self.estimate(path, capsys)[1] for path in (plain, bom, bom_header)]
+        assert [r["n"] for r in reports] == [len(ROWS)] * 3
+        assert reports[0]["value"] == reports[1]["value"] == reports[2]["value"]
+
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("1_0,0.52\n" + AFTER_FIRST, [[10.0, 0.52]] + POINTS[1:]),
+            ('"0.11",0.52\n' + AFTER_FIRST, POINTS),
+            ("\r".join(ROWS) + "\r", POINTS),
+            ("\u0660.\u0661\u0661,0.52\n" + AFTER_FIRST, POINTS),
+            ("\n\n".join(ROWS) + "\n", POINTS),
+            ("x,y\n\n" + TEXT, POINTS),
+        ],
+        ids=["underscore", "quoted-cell", "cr-only", "arabic-indic-digits",
+             "blank-lines-between-rows", "header-then-blank-line"],
+    )
+    def test_declined_input_that_parses(self, tmp_path, text, points, capsys):
+        path, reference = tmp_path / "in.csv", tmp_path / "ref.csv"
+        path.write_text(text, encoding="utf-8")
+        write_csv(reference, np.array(points))
+        code, report, err = self.estimate(path, capsys)
+        assert (code, err) == (0, "")
+        assert report["value"] == self.estimate(reference, capsys)[1]["value"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n".join(ROWS[:3] + ["   "] + ROWS[3:]), "line 4: expected 2 columns, got 1"),
+            ("\n".join(ROWS[:3] + ["#0.5,0.5"] + ROWS[3:]), "line 4: invalid number '#0.5'"),
+            ("\n".join(ROWS[:2] + ["1e400,0.5"] + ROWS[2:]), "line 3: non-finite value '1e400'"),
+            ("\n".join(ROWS[:3] + ["0.5,0.5,"] + ROWS[3:]), "line 4: expected 2 columns, got 3"),
+            ("x,y,z\n" + TEXT, "line 2: expected 3 columns, got 2"),
+            ("x\r" + TEXT, "line 2: expected 1 columns, got 2"),
+            ("\n".join(ROWS[:2] + ["\x1c0.5,0.5"] + ROWS[2:]), "line 3: invalid number '0.5'"),
+        ],
+        ids=["whitespace-only-line", "hash-line", "overflow", "trailing-comma",
+             "header-wider-than-data", "bare-cr-in-header", "file-separator"],
+    )
+    def test_declined_input_that_fails(self, tmp_path, text, message, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        assert self.estimate(path, capsys) == (3, None, f"error: {path}: {message}\n")
+
+    def test_vectorized_parse_takes_plain_files(self):
+        points = np.random.default_rng(3).random((50, 3)).tolist()
+        body = "\n".join(",".join(map(repr, row)) for row in points)
+        for text in (body, "a,b,c\n" + body, "temp\u00e9rature,b,c\n" + body,
+                     "\n\n" + body + "\n\n", body.replace("\n", "\r\n")):
+            fast = _parse_fast(text)
+            assert fast is not None
+            assert fast.tobytes() == _parse_lines("x.csv", text).tobytes()
+
+    @settings(max_examples=300)
+    @given(
+        width=st.integers(1, 4),
+        noisy=st.booleans(),
+        data=st.data(),
+        bom=st.booleans(),
+        header=st.sampled_from([None, "same", "wider", "numeric"]),
+    )
+    def test_matches_per_line_parser(self, csv_dir, width, noisy, data, bom, header):
+        """Clean files mostly take the vectorized parse; noisy ones add the
+        declined cells, ragged rows, whitespace lines and mixed line breaks."""
+        finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        declined = st.one_of(st.sampled_from(DECLINED), st.text(max_size=3))
+        cell = st.one_of(finite, finite, finite, declined) if noisy else finite
+        row = st.lists(cell, min_size=width, max_size=width)
+        if noisy:
+            row = st.one_of(row, st.lists(cell, min_size=1, max_size=width + 1))
+        blank = st.sampled_from(["", "", " ", "\t"] if noisy else [""])
+        lines = data.draw(st.lists(st.one_of(row.map(",".join), row.map(",".join), blank),
+                                   max_size=12))
+        if header is not None:
+            names = ["1.5"] * width if header == "numeric" else [f"c{i}" for i in range(width)]
+            lines.insert(0, ",".join(names + ["extra"] * (header == "wider")))
+        if noisy:
+            ends = data.draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                                      min_size=len(lines), max_size=len(lines)))
+        else:
+            ends = [data.draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+        text = "".join(a + b for a, b in zip(lines, ends))
+        path = csv_dir / "in.csv"
+        path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+
+        def outcome(parse):
+            try:
+                points = parse()
+            except DataFormatError as exc:
+                return "error", str(exc)
+            return points.dtype, points.shape, points.tobytes()
+
+        decoded = path.read_bytes().decode("utf-8-sig")
+        assert outcome(lambda: _read_csv(path)) == outcome(lambda: _parse_lines(path, decoded))
+
+
 class TestRateExperiment:
     CONFIG = {
         "distribution": {"kind": "uniform_cube", "d": 3},
@@ -224,8 +352,9 @@ class TestRateExperiment:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("runs", 2.5), ("runs", "3"), ("histogram", "false")],
-        ids=["float-runs", "string-runs", "string-histogram"],
+        [("runs", 2.5), ("runs", "3"), ("histogram", "false"),
+         ("estimators", [{"label": "a", "S": "1,2"}])],
+        ids=["float-runs", "string-runs", "string-histogram", "string-estimator-S"],
     )
     def test_mistyped_field_is_data_error(self, tmp_path, field, value, capsys):
         config = tmp_path / "rate.json"
@@ -289,8 +418,8 @@ class TestIsa:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("alpha", 1.5), ("n_cal", 2.5e5), ("n", 10.9)],
-        ids=["alpha-out-of-range", "float-n_cal", "float-n"],
+        [("alpha", 1.5), ("n_cal", 2.5e5), ("n", 10.9), ("S", "1")],
+        ids=["alpha-out-of-range", "float-n_cal", "float-n", "string-S"],
     )
     def test_bad_field_is_data_error(self, tmp_path, field, value, capsys):
         path = tmp_path / "isa.json"
