@@ -14,8 +14,9 @@ mark is accepted and blank lines are skipped. Each cell is read as Python's
 cell in the first row).
 
 Exit codes: 0 success; 2 usage error (bad flags or parameter ranges);
-3 data error (unreadable input, malformed config or cache); 4 numerical
-error (degenerate sample, infeasible histogram).
+3 data error (unreadable input, malformed config or cache, a file that
+cannot be read or written, such as a directory given as the cache);
+4 numerical error (degenerate sample, infeasible histogram).
 """
 
 from __future__ import annotations
@@ -137,9 +138,12 @@ def _parse_fast(text: str) -> np.ndarray | None:
 
 
 def _parse_lines(path, text: str) -> np.ndarray:
-    """Parse row by row with ``csv.reader``; errors name their line."""
-    lines = list(csv.reader(io.StringIO(text, newline="")))
-    rows = [(lineno, row) for lineno, row in enumerate(lines, start=1) if row]
+    """Parse row by row with ``csv.reader``; errors name the physical line a row ends on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data")
 
@@ -196,10 +200,8 @@ def _emit(payload: dict, out=None) -> None:
 def cmd_calibrate(args) -> None:
     p = args.p if args.alpha is None else args.d * (1.0 - check_alpha(args.alpha))
     key = GammaKey(d=args.d, p=p, spec=args.S, n_cal=args.n_cal, reps=args.reps)
-    if args.cache:
-        estimate, _ = GammaCache(args.cache).get_or_compute(
-            key, seed=args.seed, workers=args.threads
-        )
+    if args.cache is not None:
+        estimate, _ = args.cache.get_or_compute(key, seed=args.seed, workers=args.threads)
     else:
         estimate = estimate_gamma(key, seed=args.seed, workers=args.threads)
     _emit(estimate_record(estimate))
@@ -211,7 +213,7 @@ def cmd_estimate(args) -> None:
         alpha=args.alpha,
         spec=args.S,
         gamma=args.gamma,
-        cache=GammaCache(args.cache) if args.cache else None,
+        cache=args.cache,
         workers=args.threads,
     )
     estimator = renyi_entropy if args.command == "entropy" else renyi_mi
@@ -221,8 +223,7 @@ def cmd_estimate(args) -> None:
 
 def cmd_rate_experiment(args) -> None:
     config = RateExperimentConfig.from_dict(_load_json(args.config, "rate config"))
-    cache = GammaCache(args.cache) if args.cache else None
-    result = run_rate_experiment(config, seed=args.seed, cache=cache, workers=args.threads)
+    result = run_rate_experiment(config, seed=args.seed, cache=args.cache, workers=args.threads)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result.write_csv(args.out)
     _emit({"tool_version": __version__, "seed": args.seed, "out": str(args.out), **result.summary()})
@@ -233,8 +234,7 @@ def cmd_isa(args) -> None:
         config = PAPER_SCALE_ISA
     else:
         config = IsaExperimentConfig.from_dict(_load_json(args.config, "ISA config"))
-    cache = GammaCache(args.cache) if args.cache else None
-    result = run_isa_experiment(config, seed=args.seed, cache=cache, workers=args.threads)
+    result = run_isa_experiment(config, seed=args.seed, cache=args.cache, workers=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.write_block_norms_csv(out_dir / "block_norms.csv")
@@ -256,6 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=-1,
         help="worker cap for neighbor queries (-1: all cores)",
     )
+    common.add_argument("--cache", type=GammaCache,
+                        help="gamma cache file (JSON Lines), read and extended when gamma is calibrated")
 
     parser = argparse.ArgumentParser(
         prog="nnentropy",
@@ -278,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--reps", type=int, default=DEFAULT_REPS,
                      help=f"replications (default {DEFAULT_REPS})")
     cal.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    cal.add_argument("--cache", help="gamma cache file (JSON Lines); reused when the key matches")
     cal.set_defaults(func=cmd_calibrate)
 
     for name, description in (
@@ -292,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="neighbor ranks, e.g. 1,2,3 (default)")
         est.add_argument("--gamma", type=_parse_gamma, default=None,
                          help='normalizing constant: a number or "analytic" (closed form)')
-        est.add_argument("--cache", help="gamma cache file used when --gamma is not given")
         est.set_defaults(func=cmd_estimate)
 
     rate = sub.add_parser(
@@ -301,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--config", required=True, help="experiment config JSON")
     rate.add_argument("--out", required=True, help="output CSV (long format)")
     rate.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    rate.add_argument("--cache", help="gamma cache file")
     rate.set_defaults(func=cmd_rate_experiment)
 
     isa = sub.add_parser(
@@ -314,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     isa.add_argument("--out-dir", required=True, dest="out_dir",
                      help="directory for solution.json and block_norms.csv")
     isa.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    isa.add_argument("--cache", help="gamma cache file")
     isa.set_defaults(func=cmd_isa)
 
     diag = sub.add_parser("diagnostics", help="run the structural checks")
@@ -330,7 +328,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (DataFormatError, GammaCacheError, InsufficientPointsError, OutsideCubeError) as exc:
+    except (DataFormatError, GammaCacheError, InsufficientPointsError, OutsideCubeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DegenerateSampleError, HistogramInfeasibleError) as exc:

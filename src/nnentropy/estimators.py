@@ -23,7 +23,6 @@ from .calibration import (
     DEFAULT_N_CAL,
     DEFAULT_REPS,
     GammaCache,
-    GammaEstimate,
     GammaKey,
     estimate_gamma,
     gamma_analytic,
@@ -76,15 +75,16 @@ class EstimatorSettings:
         ``p = d * (1 - alpha)``.
     spec : NeighborSpec
         Neighbor ranks of the graph; defaults to {1, 2, 3}.
-    gamma : float, GammaEstimate, "analytic", or None
+    gamma : float, "analytic", or None
         How to obtain the normalizing constant. An explicit value (a
-        positive finite real, not a bool) or estimate is used as given;
+        positive finite real, not a bool) is used as given;
         ``"analytic"`` uses the closed form, the sum of
         :func:`gamma_analytic` over the ranks in ``spec``;
         ``None`` calibrates through ``cache`` when set, or on the fly
         otherwise.
-    cache : GammaCache, path, or None
-        Persistent calibration cache consulted when ``gamma`` is None.
+    cache : GammaCache or None
+        Persistent calibration cache consulted when ``gamma`` is None; a
+        path is not accepted, wrap it in :class:`GammaCache`.
     n_cal, reps
         Monte-Carlo calibration size used on cache misses and on-the-fly
         calibration, which always runs at seed 0: integers (not bools or
@@ -95,8 +95,8 @@ class EstimatorSettings:
 
     alpha: float
     spec: NeighborSpec = DEFAULT_SPEC
-    gamma: float | GammaEstimate | str | None = None
-    cache: GammaCache | str | None = None
+    gamma: float | str | None = None
+    cache: GammaCache | None = None
     n_cal: int = DEFAULT_N_CAL
     reps: int = DEFAULT_REPS
     workers: int = -1
@@ -110,11 +110,10 @@ class EstimatorSettings:
         g = self.gamma
         if isinstance(g, Real):
             object.__setattr__(self, "gamma", check_real(g, "explicit gamma"))
-        elif not (g is None or isinstance(g, GammaEstimate) or g == "analytic"):
-            raise ValueError(f'gamma must be a number, a GammaEstimate, "analytic", or None; got {g!r}')
-        cache = self.cache
-        if cache is not None and not isinstance(cache, GammaCache):
-            object.__setattr__(self, "cache", GammaCache(cache))
+        elif not (g is None or g == "analytic"):
+            raise ValueError(f'gamma must be a number, "analytic", or None; got {g!r}')
+        if not (self.cache is None or isinstance(self.cache, GammaCache)):
+            raise ValueError(f"cache must be a GammaCache or None, got {self.cache!r}")
 
     def p(self, d: int) -> float:
         """The graph power ``d * (1 - alpha)`` for a d-dimensional sample."""
@@ -163,8 +162,6 @@ def _resolve_gamma(settings: EstimatorSettings, d: int, p: float):
     g = settings.gamma
     if isinstance(g, Real):
         return float(g), "given", None
-    if isinstance(g, GammaEstimate):
-        return g.mean, "given", g.std_error
     if g == "analytic":
         return math.fsum(gamma_analytic(d, p, k) for k in settings.spec), "analytic", None
     key = GammaKey(d=d, p=p, spec=settings.spec, n_cal=settings.n_cal, reps=settings.reps)

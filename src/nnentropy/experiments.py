@@ -31,6 +31,7 @@ from .samplers import (
     Product,
     UniformCube,
     Wireframe3D,
+    check_json_keys,
     mix,
     sample,
     spec_dim,
@@ -90,9 +91,10 @@ def _distribution_from_json(obj) -> DistributionSpec:
 
     ``{"kind": "gaussian", "d": 3, "rho": 0.5}`` expands to the
     zero-mean equicorrelated Gaussian; everything else is the samplers'
-    canonical JSON form.
+    canonical JSON form. Both reject keys they do not have.
     """
     if isinstance(obj, dict) and obj.get("kind") == "gaussian" and "cov" not in obj:
+        check_json_keys(obj, ("kind", "d", "rho"), "gaussian shorthand")
         try:
             d = check_integer(obj["d"], "d")
             rho = check_real(obj.get("rho", 0.0), "rho", -math.inf)
@@ -110,8 +112,8 @@ class RateExperimentConfig:
 
     ``truth`` is the target mutual information the errors are measured
     against; :meth:`from_dict` resolves the string ``"auto"`` through
-    :func:`mi_truth`. ``estimators`` pairs a CSV label with the neighbor
-    ranks it uses. Every field is checked on construction: the sizes,
+    :func:`mi_truth`. ``estimators`` pairs a CSV label (a string) with the
+    neighbor ranks it uses. Every field is checked on construction: the sizes,
     ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
     floats), ``alpha`` a real in (0, 1) and ``histogram`` a bool.
     """
@@ -134,9 +136,12 @@ class RateExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        ests = tuple((str(label), as_neighbor_spec(spec)) for label, spec in self.estimators)
+        ests = tuple((label, as_neighbor_spec(spec)) for label, spec in self.estimators)
         if not ests:
             raise ValueError("at least one estimator is required")
+        for label, _ in ests:
+            if not isinstance(label, str):
+                raise ValueError(f"estimator label must be a string, got {label!r}")
         if len({label for label, _ in ests}) != len(ests):
             raise ValueError("estimator labels must be distinct")
         object.__setattr__(self, "estimators", ests)
@@ -155,9 +160,7 @@ class RateExperimentConfig:
             "distribution", "truth", "n_grid", "runs", "alpha",
             "estimators", "histogram", "n_cal", "reps",
         }
-        unknown = set(obj) - known
-        if unknown:
-            raise DataFormatError(f"unknown rate config keys: {sorted(unknown)}")
+        check_json_keys(obj, known, "rate config")
         if "distribution" not in obj:
             raise DataFormatError("rate config needs a 'distribution'")
         dist = _distribution_from_json(obj["distribution"])
@@ -381,9 +384,7 @@ class IsaExperimentConfig:
             "shapes", "subspace_dim", "n", "alpha", "S",
             "mixing", "q", "n_cal", "reps",
         }
-        unknown = set(obj) - known
-        if unknown:
-            raise DataFormatError(f"unknown ISA config keys: {sorted(unknown)}")
+        check_json_keys(obj, known, "ISA config")
         if "shapes" not in obj or not isinstance(obj["shapes"], list):
             raise DataFormatError("ISA config needs a 'shapes' list")
         kwargs = {key: obj[key] for key in known & set(obj) if key not in ("shapes", "S")}

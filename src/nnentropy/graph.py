@@ -28,7 +28,8 @@ class NNGraph:
     ``neighbor_index[i, j]`` is the target vertex of the edge emitted by
     vertex ``i`` for rank ``spec.indices[j]``; the value -1 marks an edge
     redirected to the cube boundary (boundary graphs only), in which case
-    ``boundary_point[i, j]`` holds the substituted endpoint coordinates.
+    ``boundary_point[i, j]`` holds the substituted endpoint coordinates
+    (NaN for kept edges; ``boundary_point`` is None on a plain graph).
     ``length[i, j]`` is the Euclidean edge length after any substitution.
     """
 
@@ -36,7 +37,6 @@ class NNGraph:
     spec: NeighborSpec
     neighbor_index: np.ndarray
     length: np.ndarray
-    cube: Cube | None = None
     boundary_point: np.ndarray | None = None
 
     @property
@@ -46,10 +46,6 @@ class NNGraph:
     @property
     def n_edges(self) -> int:
         return int(self.length.size)
-
-    @property
-    def with_boundary(self) -> bool:
-        return self.cube is not None
 
     def in_degrees(self) -> np.ndarray:
         """Number of incoming point-to-point edges per vertex."""
@@ -75,7 +71,7 @@ def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
     return NNGraph(ps, spec, idx[:, cols], lengths[:, cols])
 
 
-def build_boundary_graph(points, spec, cube: Cube, workers: int = -1) -> NNGraph:
+def build_boundary_graph(points, spec, cube: Cube) -> NNGraph:
     """Build the boundary-rewired neighbor graph inside ``cube``.
 
     Every edge ``(x, y)`` of the plain graph is kept when
@@ -105,7 +101,7 @@ def build_boundary_graph(points, spec, cube: Cube, workers: int = -1) -> NNGraph
 
     k_avail = min(spec.k, n - 1)
     if k_avail >= 1:
-        all_idx, all_len = knn_all(ps, k_avail, workers=workers)
+        all_idx, all_len = knn_all(ps, k_avail)
         for j, rank in enumerate(spec.indices):
             if rank <= k_avail:
                 cand_len = all_len[:, rank - 1]
@@ -115,7 +111,7 @@ def build_boundary_graph(points, spec, cube: Cube, workers: int = -1) -> NNGraph
 
     redirected = neighbor_index < 0
     boundary_point = np.where(redirected[:, :, None], b[:, None, :], np.nan)
-    return NNGraph(ps, spec, neighbor_index, length, cube=cube, boundary_point=boundary_point)
+    return NNGraph(ps, spec, neighbor_index, length, boundary_point=boundary_point)
 
 
 def l_p(graph: NNGraph, p: float) -> float:

@@ -251,12 +251,6 @@ def group_components(
                 mi_cache[key] = renyi_mi(cols, block_settings).value
         return mi_cache[key]
 
-    if m == 1:
-        block = tuple(range(d))
-        return IsaSolution(
-            separation=np.eye(d), blocks=(block,), objective=block_mi(block)
-        )
-
     if d == 1:
         blocks = [[c] for c in range(m)]
     else:

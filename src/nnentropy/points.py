@@ -160,16 +160,6 @@ class NeighborSpec:
         return iter(self.indices)
 
     @classmethod
-    def single(cls, k: int) -> "NeighborSpec":
-        """The spec ``{k}`` with a single rank."""
-        return cls((k,))
-
-    @classmethod
-    def first(cls, k: int) -> "NeighborSpec":
-        """The spec ``{1, ..., k}`` of all ranks up to ``k``."""
-        return cls(tuple(range(1, check_integer(k, "k") + 1)))
-
-    @classmethod
     def parse(cls, text: str) -> "NeighborSpec":
         """Parse a comma-separated rank list such as ``"1,2,3"``."""
         parts = [p.strip() for p in str(text).split(",") if p.strip()]
@@ -183,11 +173,9 @@ class NeighborSpec:
 
 
 def as_neighbor_spec(obj) -> NeighborSpec:
-    """Coerce a :class:`NeighborSpec`, iterable of ranks, or string."""
+    """Coerce a :class:`NeighborSpec` or an iterable of integer ranks (not a string)."""
     if isinstance(obj, NeighborSpec):
         return obj
-    if isinstance(obj, str):
-        return NeighborSpec.parse(obj)
     return NeighborSpec(obj)
 
 
@@ -218,11 +206,6 @@ class Cube:
     @property
     def upper(self) -> np.ndarray:
         return self.lower + self.side
-
-    def contains(self, points) -> bool:
-        """Whether every point lies in the closed cube."""
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return bool((x >= self.lower).all() and (x <= self.upper).all())
 
     def nearest_boundary(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Nearest boundary point and boundary distance for each point.

@@ -1,14 +1,15 @@
 """Reproducible synthetic data generators.
 
 Distribution specifications are small frozen dataclasses, serializable to
-JSON for experiment configs. Sampling is deterministic given a seed; nested
-specs (products) derive independent child streams, so components never
-share randomness.
+JSON for experiment configs; the JSON reader rejects any key that the
+spec's kind does not have. ``WIREFRAME_SHAPES`` maps each wireframe name to
+a function returning the shape's fixed polylines (vertex arrays). Sampling
+is deterministic given a seed; nested specs (products) derive independent
+child streams, so components never share randomness.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,10 @@ __all__ = [
     "Product",
     "DistributionSpec",
     "WIREFRAME_SHAPES",
-    "wireframe_polylines",
     "spec_dim",
     "sample",
     "spec_to_json",
     "spec_from_json",
-    "random_covariance",
     "mix",
 ]
 
@@ -173,14 +172,6 @@ WIREFRAME_SHAPES = {
 }
 
 
-def wireframe_polylines(shape_id: str) -> list[np.ndarray]:
-    """The fixed polylines (vertex arrays) of a wireframe shape."""
-    if shape_id not in WIREFRAME_SHAPES:
-        known = ", ".join(sorted(WIREFRAME_SHAPES))
-        raise ValueError(f"unknown wireframe shape {shape_id!r} (known: {known})")
-    return WIREFRAME_SHAPES[shape_id]()
-
-
 def spec_dim(spec: DistributionSpec) -> int:
     """Output dimension of a distribution spec."""
     if isinstance(spec, UniformCube):
@@ -218,7 +209,7 @@ def sample(spec: DistributionSpec, n: int, seed=0) -> PointSet:
         root = (u * np.sqrt(w)) @ u.T  # symmetric square root
         return PointSet(rng.standard_normal((n, spec.mean.size)) @ root + spec.mean)
     if isinstance(spec, Wireframe3D):
-        polylines = wireframe_polylines(spec.shape_id)
+        polylines = WIREFRAME_SHAPES[spec.shape_id]()
         starts = np.vstack([pl[:-1] for pl in polylines])
         ends = np.vstack([pl[1:] for pl in polylines])
         seg_len = np.sqrt(((ends - starts) ** 2).sum(axis=1))
@@ -243,11 +234,26 @@ def spec_to_json(spec: DistributionSpec) -> dict:
     raise ValueError(f"unsupported spec {spec!r}")
 
 
+# The keys of each distribution kind's JSON form besides ``kind``.
+_JSON_KEYS = {"uniform_cube": {"d", "side"}, "gaussian": {"mean", "cov"},
+              "wireframe3d": {"shape", "axes"}, "product": {"parts"}}
+
+
+def check_json_keys(obj: dict, known, what: str) -> None:
+    """Reject a JSON object with a key outside ``known``, naming the key."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def spec_from_json(obj) -> DistributionSpec:
-    """Parse a distribution spec from its JSON dictionary form."""
+    """Parse a distribution spec from its JSON dictionary form; unknown keys are errors."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DataFormatError("distribution spec must be an object with a 'kind' field")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+        raise DataFormatError(f"unknown distribution kind {kind!r}")
+    check_json_keys(obj, _JSON_KEYS[kind] | {"kind"}, f"{kind} distribution")
     try:
         if kind == "uniform_cube":
             return UniformCube(d=obj["d"], side=obj.get("side", 1.0))
@@ -255,32 +261,12 @@ def spec_from_json(obj) -> DistributionSpec:
             return Gaussian(mean=obj["mean"], cov=obj["cov"])
         if kind == "wireframe3d":
             return Wireframe3D(shape_id=obj["shape"], axes=tuple(obj.get("axes", (0, 1, 2))))
-        if kind == "product":
-            parts = obj["parts"]
-            if not isinstance(parts, list):
-                raise DataFormatError("product 'parts' must be a list")
-            return Product(parts=tuple(spec_from_json(part) for part in parts))
+        parts = obj["parts"]
+        if not isinstance(parts, list):
+            raise DataFormatError("product 'parts' must be a list")
+        return Product(parts=tuple(spec_from_json(part) for part in parts))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid distribution spec of kind {kind!r}: {exc}") from None
-    raise DataFormatError(f"unknown distribution kind {kind!r}")
-
-
-def random_covariance(d: int, condition_cap: float = 10.0, seed=0) -> np.ndarray:
-    """A random symmetric positive-definite matrix with bounded conditioning.
-
-    Uses a Haar-ish orthogonal basis (QR of a Gaussian matrix) and
-    eigenvalues drawn log-uniformly within the condition cap, so the
-    condition number never exceeds ``condition_cap``.
-    """
-    d = check_integer(d, "d")
-    condition_cap = check_real(condition_cap, "condition_cap", 1.0, strict=False)
-    rng = np.random.default_rng(_as_seed_sequence(seed))
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    half = 0.5 * math.log(condition_cap)
-    eigs = np.exp(rng.uniform(-half, half, size=d))
-    cov = (q * eigs) @ q.T
-    return (cov + cov.T) / 2.0
 
 
 def mix(sources, a) -> PointSet:

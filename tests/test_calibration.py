@@ -21,7 +21,7 @@ FAST_KEY = GammaKey(d=2, p=1.0, spec=(1,), n_cal=4000, reps=3)
 
 class TestGammaKey:
     def test_normalizes_fields(self):
-        key = GammaKey(d=3, p=1.5, spec="3,1", n_cal=1000, reps=2)
+        key = GammaKey(d=3, p=1.5, spec=[3, 1], n_cal=1000, reps=2)
         assert key.spec.indices == (1, 3)
         assert isinstance(key.d, int) and isinstance(key.n_cal, int)
 
@@ -34,8 +34,9 @@ class TestGammaKey:
             dict(d=2, p=2.0, spec=(1,)),
             dict(d=2, p=1.0, spec=(1,), n_cal=1),
             dict(d=2, p=1.0, spec=(1,), reps=0),
+            dict(d=2, p=1.0, spec="1"),
         ],
-        ids=["d0", "d-bool", "p0", "p=d", "ncal<=k", "reps0"],
+        ids=["d0", "d-bool", "p0", "p=d", "ncal<=k", "reps0", "string-S"],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

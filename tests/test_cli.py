@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process through ``main``."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +83,12 @@ class TestCalibrate:
         assert first[1] == second[1]
         assert cache.read_text().strip().splitlines() == lines_after_first
         assert len(lines_after_first) == 1
+
+    def test_directory_as_cache_is_data_error(self, tmp_path, capsys):
+        for cache in ("", str(tmp_path)):  # the empty path names the working directory
+            code, out, err = run_cli(self.ARGS + ["--cache", cache], capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and "Is a directory" in err
 
     def test_corrupt_cache(self, tmp_path, capsys):
         cache = tmp_path / "gamma.jsonl"
@@ -247,9 +254,17 @@ class TestCsvInput:
             ("x,y,z\n" + TEXT, "line 2: expected 3 columns, got 2"),
             ("x\r" + TEXT, "line 2: expected 1 columns, got 2"),
             ("\n".join(ROWS[:2] + ["\x1c0.5,0.5"] + ROWS[2:]), "line 3: invalid number '0.5'"),
+            ('"a\nb",c\n0.1,0.2\n0.3\n', "line 4: expected 2 columns, got 1"),
+            ("\n".join(ROWS[:2] + ['"' + "1" * 140_001 + '",0.5'] + ROWS[2:]),
+             "line 3: field larger than field limit (131072)"),
+            # Python 3.10's csv reader refuses NUL; from 3.11 the cell reaches float().
+            ("\n".join(ROWS[:2] + ["\x000.5,0.5"] + ROWS[2:]),
+             "line 3: line contains NUL" if sys.version_info < (3, 11)
+             else "line 3: invalid number '\\x000.5'"),
         ],
         ids=["whitespace-only-line", "hash-line", "overflow", "trailing-comma",
-             "header-wider-than-data", "bare-cr-in-header", "file-separator"],
+             "header-wider-than-data", "bare-cr-in-header", "file-separator",
+             "multi-line-quoted-header", "field-over-csv-limit", "nul-byte"],
     )
     def test_declined_input_that_fails(self, tmp_path, text, message, capsys):
         path = tmp_path / "in.csv"
@@ -349,6 +364,18 @@ class TestRateExperiment:
         )
         assert code == 3
         assert "unknown rate config keys" in err
+
+    def test_unknown_distribution_key(self, tmp_path, capsys):
+        distribution = {"kind": "gaussian", "d": 3, "rh0": 0.9}
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({**self.CONFIG, "distribution": distribution}), encoding="utf-8")
+        out_csv = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv)], capsys
+        )
+        assert code == 3
+        assert "unknown gaussian shorthand keys: ['rh0']" in err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "field, value",

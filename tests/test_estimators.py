@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nnentropy import (
     DegenerateSampleError,
     EstimatorSettings,
+    GammaCache,
     GammaKey,
     HistogramInfeasibleError,
     InsufficientPointsError,
@@ -45,12 +46,17 @@ class TestEstimatorSettings:
         with pytest.raises(ValueError, match="gamma"):
             EstimatorSettings(alpha=0.5, gamma=gamma)
 
-    def test_cache_path_is_coerced(self, tmp_path):
-        settings = EstimatorSettings(alpha=0.5, cache=tmp_path / "g.jsonl")
-        assert settings.cache.path == tmp_path / "g.jsonl"
+    def test_cache_must_be_a_gamma_cache(self, tmp_path):
+        cache = GammaCache(tmp_path / "g.jsonl")
+        assert EstimatorSettings(alpha=0.5, cache=cache).cache is cache
+        for path in (tmp_path / "g.jsonl", str(tmp_path / "g.jsonl")):
+            with pytest.raises(ValueError, match="^cache must be a GammaCache or None"):
+                EstimatorSettings(alpha=0.5, cache=path)
 
     def test_spec_is_coerced(self):
-        assert EstimatorSettings(alpha=0.5, spec="2,1").spec == NeighborSpec((1, 2))
+        assert EstimatorSettings(alpha=0.5, spec=[2, 1]).spec == NeighborSpec((1, 2))
+        with pytest.raises(ValueError, match="^neighbor rank must be an integer"):
+            EstimatorSettings(alpha=0.5, spec="2,1")
 
 
 class TestEmpiricalCopula:
@@ -127,13 +133,15 @@ class TestGammaResolution:
         assert report.gamma_source == "given"
         assert report.gamma_std_error is None
 
-    def test_estimate_object_is_used_as_given(self):
+    def test_estimate_object_is_rejected_and_its_mean_used_as_given(self):
         est = estimate_gamma(GammaKey(d=2, p=0.8, spec=(1, 2, 3), n_cal=2000, reps=3))
+        with pytest.raises(ValueError, match="^gamma must be a number"):
+            EstimatorSettings(alpha=0.6, gamma=est)
         rng = np.random.default_rng(4)
-        report = renyi_entropy(rng.random((150, 2)), EstimatorSettings(alpha=0.6, gamma=est))
+        report = renyi_entropy(rng.random((150, 2)), EstimatorSettings(alpha=0.6, gamma=est.mean))
         assert report.gamma == est.mean
         assert report.gamma_source == "given"
-        assert report.gamma_std_error == est.std_error
+        assert report.gamma_std_error is None
 
     def test_analytic_single_rank(self):
         rng = np.random.default_rng(4)
@@ -162,7 +170,7 @@ class TestGammaResolution:
     def test_cache_miss_then_hit(self, tmp_path):
         rng = np.random.default_rng(4)
         X = rng.random((150, 2))
-        kwargs = dict(alpha=0.6, cache=tmp_path / "g.jsonl", n_cal=2000, reps=2)
+        kwargs = dict(alpha=0.6, cache=GammaCache(tmp_path / "g.jsonl"), n_cal=2000, reps=2)
         first = renyi_entropy(X, EstimatorSettings(**kwargs))
         second = renyi_entropy(X, EstimatorSettings(**kwargs))
         assert first.gamma_source == "calibrated"

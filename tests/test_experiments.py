@@ -118,6 +118,36 @@ class TestRateConfig:
             ),
             ({"distribution": {"kind": "gaussian", "d": 3.5, "rho": 0.5}}, "d must be an integer"),
             ("nope", "must be a JSON object"),
+            (
+                {"distribution": {"kind": "gaussian", "d": 3, "rh0": 0.9}},
+                r"unknown gaussian shorthand keys: \['rh0'\]",
+            ),
+            (
+                {"distribution": {"kind": "gaussian", "d": 3, "rho": 0.5, "mean": [1, 1, 1]}},
+                r"unknown gaussian shorthand keys: \['mean'\]",
+            ),
+            (
+                {"distribution": {"kind": "uniform_cube", "d": 2, "sid": 2.0}},
+                r"unknown uniform_cube distribution keys: \['sid'\]",
+            ),
+            (
+                {"distribution": {"kind": "wireframe3d", "shape": "star", "axis": [0, 1]}},
+                r"unknown wireframe3d distribution keys: \['axis'\]",
+            ),
+            (
+                {
+                    "distribution": {"kind": "uniform_cube", "d": 2},
+                    "estimators": [{"label": None, "S": [1]}],
+                },
+                "estimator label must be a string, got None",
+            ),
+            (
+                {
+                    "distribution": {"kind": "uniform_cube", "d": 2},
+                    "estimators": [{"label": 5, "S": [1]}],
+                },
+                "estimator label must be a string, got 5",
+            ),
         ],
     )
     def test_invalid_configs(self, obj, message):

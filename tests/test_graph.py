@@ -31,7 +31,6 @@ class TestBuildNNGraph:
         assert g.length[:, 0].tolist() == [1.0, 1.0, 2.0]
         assert g.in_degrees().tolist() == [1, 2, 0]
         assert g.n_edges == 3
-        assert not g.with_boundary
 
     def test_line_two_ranks(self):
         g = build_nn_graph(LINE, NeighborSpec((1, 2)))

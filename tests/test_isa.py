@@ -15,6 +15,7 @@ from nnentropy import (
     group_components,
     mix,
     pairwise_mi_matrix,
+    renyi_mi,
     run_isa,
     sample,
     whiten,
@@ -128,9 +129,11 @@ class TestGroupComponents:
         assert np.array_equal(sol.separation, np.eye(4)[order])
 
     def test_single_block(self):
-        sol = group_components(np.random.default_rng(9).random((60, 3)), 3, 1, FIXED)
+        X = np.random.default_rng(9).random((60, 3))
+        sol = group_components(X, 3, 1, FIXED)
         assert sol.blocks == ((0, 1, 2),)
         assert np.array_equal(sol.separation, np.eye(3))
+        assert sol.objective == renyi_mi(X, FIXED).value
 
     def test_one_dimensional_blocks_are_singletons(self):
         sol = group_components(np.random.default_rng(10).random((60, 3)), 1, 3, FIXED)

@@ -40,7 +40,6 @@ from nnentropy import (
     knn_all,
     mi_rate_exponent,
     mi_truth,
-    random_covariance,
     resolve_settings,
     sample,
     uniform_entropy,
@@ -92,10 +91,6 @@ class TestNeighborSpec:
         assert list(spec) == [1, 2, 3]
         assert len(spec) == 3
 
-    def test_single_and_first(self):
-        assert NeighborSpec.single(4).indices == (4,)
-        assert NeighborSpec.first(3).indices == (1, 2, 3)
-
     def test_parse(self):
         assert NeighborSpec.parse("1, 2,3").indices == (1, 2, 3)
         with pytest.raises(ValueError, match="cannot parse"):
@@ -113,8 +108,9 @@ class TestNeighborSpec:
     def test_as_neighbor_spec_coercions(self):
         spec = NeighborSpec((2,))
         assert as_neighbor_spec(spec) is spec
-        assert as_neighbor_spec("2,1").indices == (1, 2)
         assert as_neighbor_spec([3, 1]).indices == (1, 3)
+        with pytest.raises(ValueError, match="^neighbor rank must be an integer"):
+            as_neighbor_spec("2,1")
 
 
 class TestCube:
@@ -123,11 +119,6 @@ class TestCube:
         assert cube.d == 3
         assert np.array_equal(cube.lower, np.zeros(3))
         assert np.array_equal(cube.upper, np.ones(3))
-
-    def test_contains(self):
-        cube = Cube(np.array([1.0, 1.0]), 2.0)
-        assert cube.contains([[1.0, 3.0], [2.0, 2.0]])
-        assert not cube.contains([[0.9, 2.0]])
 
     @pytest.mark.parametrize("side", [0.0, -1.0, np.nan, True])
     def test_rejects_bad_side(self, side):
@@ -186,12 +177,10 @@ _TWO_SHAPES = ("spiral", "zigzag")
 # with an integer parameter.
 INTEGER_PARAMETERS = [
     ("knn_all", "k", lambda v: knn_all(_uniform(), v)),
-    ("NeighborSpec.first", "k", lambda v: NeighborSpec.first(v)),
     ("Cube.unit", "d", lambda v: Cube.unit(v)),
     ("UniformCube", "d", lambda v: UniformCube(v)),
     ("Wireframe3D", "axes", lambda v: Wireframe3D("spiral", axes=(v,))),
     ("sample", "n", lambda v: sample(UniformCube(2), v)),
-    ("random_covariance", "d", lambda v: random_covariance(v)),
     ("GammaKey", "d", lambda v: GammaKey(d=v, p=0.5, spec=(1,))),
     ("GammaKey", "n_cal", lambda v: GammaKey(d=2, p=0.5, spec=(1,), n_cal=v)),
     ("GammaKey", "reps", lambda v: GammaKey(d=2, p=0.5, spec=(1,), reps=v)),

@@ -11,11 +11,9 @@ from nnentropy import (
     WIREFRAME_SHAPES,
     Wireframe3D,
     mix,
-    random_covariance,
     sample,
     spec_from_json,
     spec_to_json,
-    wireframe_polylines,
 )
 from nnentropy.samplers import spec_dim
 
@@ -76,7 +74,7 @@ class TestSampling:
     def test_wireframe_points_lie_on_polylines(self, shape):
         ps = sample(Wireframe3D(shape), 300, seed=2)
         best = np.full(ps.n, np.inf)
-        for pl in wireframe_polylines(shape):
+        for pl in WIREFRAME_SHAPES[shape]():
             for a, b in zip(pl[:-1], pl[1:]):
                 best = np.minimum(best, segment_distance(ps.points, a, b))
         assert best.max() <= 1e-12
@@ -136,24 +134,25 @@ class TestJsonRoundTrip:
         with pytest.raises(DataFormatError, match="uniform_cube"):
             spec_from_json({"kind": "uniform_cube", "side": 1.0})
 
-
-class TestRandomCovariance:
-    def test_scalar_case(self):
-        cov = random_covariance(1, seed=0)
-        assert cov.shape == (1, 1) and cov[0, 0] > 0.0
-
-    def test_condition_cap(self):
-        cov = random_covariance(3, condition_cap=10.0, seed=1)
-        w = np.linalg.eigvalsh(cov)
-        assert w[0] > 0.0
-        assert w[-1] / w[0] <= 10.0
-
-    def test_deterministic(self):
-        assert np.array_equal(random_covariance(4, seed=2), random_covariance(4, seed=2))
-
-    def test_rejects_cap_below_one(self):
-        with pytest.raises(ValueError):
-            random_covariance(2, condition_cap=0.5)
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "uniform_cube", "d": 2, "sid": 2.0},
+             r"unknown uniform_cube distribution keys: \['sid'\]"),
+            ({"kind": "gaussian", "mean": [0.0], "cov": [[1.0]], "rho": 0.5},
+             r"unknown gaussian distribution keys: \['rho'\]"),
+            ({"kind": "wireframe3d", "shape": "star", "axis": [0, 1]},
+             r"unknown wireframe3d distribution keys: \['axis'\]"),
+            ({"kind": "product", "parts": [], "part": []},
+             r"unknown product distribution keys: \['part'\]"),
+            ({"kind": "product", "parts": [{"kind": "uniform_cube", "d": 1, "D": 2}]},
+             r"unknown uniform_cube distribution keys: \['D'\]"),
+        ],
+        ids=["uniform-sid", "gaussian-rho", "wireframe-axis", "product-part", "nested-key"],
+    )
+    def test_unknown_keys_are_rejected(self, obj, message):
+        with pytest.raises(DataFormatError, match=message):
+            spec_from_json(obj)
 
 
 class TestMix:
