@@ -28,7 +28,7 @@ from .calibration import (
     gamma_analytic,
 )
 from .errors import DegenerateSampleError, HistogramInfeasibleError
-from .graph import build_nn_graph, l_p
+from .graph import NNGraph, build_nn_graph, l_p
 from .points import (
     NeighborSpec,
     PointSet,
@@ -90,7 +90,8 @@ class EstimatorSettings:
         calibration, which always runs at seed 0: integers (not bools or
         floats) with ``n_cal > max(spec)`` and ``reps >= 1``.
     workers : int
-        Worker threads for neighbor queries; -1 uses all cores.
+        Cap on the worker threads of neighbor queries; -1 uses all cores.
+        Small queries run on the calling thread (see ``knn_all``).
     """
 
     alpha: float
@@ -202,8 +203,17 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
         If all points coincide (zero total edge length).
     """
     ps = as_point_set(points)
+    return _graph_entropy(build_nn_graph(ps, settings.spec, workers=settings.workers), settings)
+
+
+def _graph_entropy(graph: NNGraph, settings: EstimatorSettings) -> EstimateReport:
+    """Entropy estimate of ``graph.point_set`` from its graph for ``settings.spec``.
+
+    :func:`renyi_entropy` builds the graph itself; the rate study passes rank
+    columns of one neighbor table that several estimators share.
+    """
+    ps = graph.point_set
     p = settings.p(ps.d)
-    graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
     total = l_p(graph, p)
     if total <= 0.0:
         raise DegenerateSampleError("degenerate sample: total edge length is zero")

@@ -21,7 +21,18 @@ import numpy as np
 
 from .calibration import DEFAULT_N_CAL, DEFAULT_REPS
 from .errors import DataFormatError, HistogramInfeasibleError
-from .estimators import EstimatorSettings, histogram_mi, renyi_mi, resolve_settings
+from .estimators import (
+    EstimatorSettings,
+    _graph_entropy,
+    empirical_copula,
+    histogram_entropy,
+    resolve_settings,
+)
+
+# Unused here: the benchmark's tracer (perfbench/spans.py) wraps these
+# attributes of this module, so they stay until it goes (ROADMAP item 5).
+from .estimators import histogram_mi, renyi_mi  # noqa: F401
+from .graph import NNGraph, build_nn_graph
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
 from .points import NeighborSpec, as_neighbor_spec, check_alpha, check_integer, check_real
 from .samplers import (
@@ -271,7 +282,11 @@ def run_rate_experiment(
     """Run the convergence-rate study; deterministic given ``seed``.
 
     Per (size, run) a fresh sample is drawn and every estimator records
-    ``|estimate - truth|``. Calibration happens once per estimator before
+    ``|estimate - truth|``. Each sample is ranked once and searched once,
+    to the largest rank any estimator uses; each estimator reads its rank
+    columns of that neighbor table and the histogram reads the same copula,
+    so the rows equal what :func:`renyi_mi` and :func:`histogram_mi` give
+    on the sample, bitwise. Calibration happens once per estimator before
     the sweep (through ``cache`` when given). Where the histogram baseline
     is infeasible, its rows are replaced by a single note row per size.
     The theoretical reference decays from the anchor (the "knn" — else
@@ -290,7 +305,10 @@ def run_rate_experiment(
             reps=config.reps,
             workers=workers,
         )
-        resolved.append((label, resolve_settings(settings, d)))
+        cols = np.asarray(ranks.indices, dtype=np.intp) - 1
+        resolved.append((label, resolve_settings(settings, d), cols))
+    k = max(ranks.k for _, ranks in config.estimators)
+    table_spec = NeighborSpec(tuple(range(1, k + 1)))
 
     streams = np.random.SeedSequence(seed).spawn(len(config.n_grid) * config.runs)
     rows: list[RateRow] = []
@@ -298,12 +316,17 @@ def run_rate_experiment(
         hist_infeasible = False
         for run in range(config.runs):
             points = sample(config.distribution, n, streams[ni * config.runs + run])
-            for label, settings in resolved:
-                value = renyi_mi(points, settings).value
+            copula = empirical_copula(points)
+            table = build_nn_graph(copula, table_spec, workers=workers)
+            for label, settings, cols in resolved:
+                graph = NNGraph(
+                    copula, settings.spec, table.neighbor_index[:, cols], table.length[:, cols]
+                )
+                value = -_graph_entropy(graph, settings).value
                 rows.append(RateRow(n, run, label, abs(value - config.truth)))
             if config.histogram and not hist_infeasible:
                 try:
-                    value = histogram_mi(points, config.alpha).value
+                    value = -histogram_entropy(copula, config.alpha).value
                 except HistogramInfeasibleError:
                     hist_infeasible = True
                     rows.append(RateRow(n, None, "hist", None, _INFEASIBLE_NOTE))

@@ -9,6 +9,7 @@ whose total length is superadditive over a partition of the cube.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,10 @@ from .neighbors import knn_all
 from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set, check_power
 
 __all__ = ["NNGraph", "build_nn_graph", "build_boundary_graph", "l_p"]
+
+# Edge powers l_p converts to Python floats at a time: 4096 keeps the
+# scratch list near 130 kB and sums as fast as any larger chunk.
+_FSUM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -121,5 +126,11 @@ def l_p(graph: NNGraph, p: float) -> float:
     Summation is exactly rounded (math.fsum), so the value is independent
     of edge order and of how the graph was built.
     """
-    powered = graph.length ** check_power(p)
-    return math.fsum(powered.flat)
+    powered = (graph.length ** check_power(p)).ravel()
+    # Iterating the array would box every element as a numpy scalar; tolist()
+    # hands fsum plain floats, a chunk at a time so the lists stay small.
+    return math.fsum(
+        itertools.chain.from_iterable(
+            powered[i : i + _FSUM_CHUNK].tolist() for i in range(0, powered.size, _FSUM_CHUNK)
+        )
+    )

@@ -17,7 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .estimators import EstimatorSettings, renyi_mi, resolve_settings
+from .estimators import EstimatorSettings, empirical_copula, renyi_entropy, resolve_settings
+
+# Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
+# attribute of the module, so it stays until the tracer goes (ROADMAP item 5).
+from .estimators import renyi_mi  # noqa: F401
 from .points import PointSet, as_point_set, check_integer
 
 __all__ = [
@@ -101,21 +105,18 @@ class FastICAResult:
     warnings: tuple[str, ...] = ()
 
 
-def whiten(points, n_components: int | None = None) -> tuple[PointSet, np.ndarray]:
-    """Center and whiten a sample; returns the output and the matrix.
+def whiten(points, n_components: int) -> tuple[PointSet, np.ndarray]:
+    """Center, whiten and project a sample; returns the output and the matrix.
 
-    The output has zero mean and identity sample covariance (to float
-    precision). Without ``n_components`` the symmetric whitener
-    ``U diag(w^-1/2) U^T`` is used, which is close to the identity for
-    already-white data. With ``n_components`` the sample is also projected
-    onto the leading eigendirections (largest variances), and the returned
-    matrix has shape ``(n_components, d)``.
+    The sample is projected onto its ``n_components`` leading
+    eigendirections (largest variances) and scaled to identity sample
+    covariance (to float precision); the returned matrix has shape
+    ``(n_components, d)``.
 
     Raises
     ------
     DegenerateSampleError
-        If the sample covariance is singular (or has rank below
-        ``n_components``).
+        If the sample covariance has rank below ``n_components``.
     """
     ps = as_point_set(points)
     if ps.n < 2:
@@ -124,18 +125,15 @@ def whiten(points, n_components: int | None = None) -> tuple[PointSet, np.ndarra
     centered = X - X.mean(axis=0)
     cov = (centered.T @ centered) / (ps.n - 1)
     w, u = np.linalg.eigh(cov)
-    keep = ps.d if n_components is None else check_integer(n_components, "n_components")
+    keep = check_integer(n_components, "n_components")
     if keep > ps.d:
         raise ValueError(f"n_components must be in [1, {ps.d}], got {n_components}")
     # eigh returns ascending eigenvalues; the leading directions are last.
     if w[ps.d - keep] <= 1e-12 * max(w[-1], 1.0):
         raise DegenerateSampleError("singular covariance: sample does not span the requested rank")
-    if n_components is None:
-        matrix = (u / np.sqrt(w)) @ u.T
-    else:
-        w_top = w[ps.d - keep :][::-1]
-        u_top = u[:, ps.d - keep :][:, ::-1]
-        matrix = (u_top / np.sqrt(w_top)).T
+    w_top = w[ps.d - keep :][::-1]
+    u_top = u[:, ps.d - keep :][:, ::-1]
+    matrix = (u_top / np.sqrt(w_top)).T
     return PointSet(centered @ matrix.T), matrix
 
 
@@ -183,15 +181,29 @@ def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
 
 
 def pairwise_mi_matrix(ics, settings: EstimatorSettings) -> np.ndarray:
-    """Symmetric matrix of pairwise mutual information between components."""
-    ps = as_point_set(ics)
+    """Symmetric matrix of pairwise mutual information between components.
+
+    The components are ranked once and each pair is scored on its two
+    columns of that copula (see :func:`_copula_mi`).
+    """
+    copula = empirical_copula(ics).points
     pair_settings = resolve_settings(settings, 2)
-    matrix = np.zeros((ps.d, ps.d))
-    for i in range(ps.d):
-        for j in range(i + 1, ps.d):
-            value = renyi_mi(ps.points[:, (i, j)], pair_settings).value
-            matrix[i, j] = matrix[j, i] = value
+    q = copula.shape[1]
+    matrix = np.zeros((q, q))
+    for i in range(q):
+        for j in range(i + 1, q):
+            matrix[i, j] = matrix[j, i] = _copula_mi(copula, [i, j], pair_settings)
     return matrix
+
+
+def _copula_mi(copula: np.ndarray, cols, settings: EstimatorSettings) -> float:
+    """:func:`renyi_mi` of columns ``cols`` of the sample whose copula is given.
+
+    Ranks are taken per column, so a column slice of the copula is the
+    copula of that column slice, and the value equals ``renyi_mi`` on the
+    raw columns bitwise.
+    """
+    return -renyi_entropy(copula[:, cols], settings).value
 
 
 def _greedy_blocks(matrix: np.ndarray, d: int, m: int) -> list[list[int]]:
@@ -227,9 +239,12 @@ def group_components(
     when it strictly increases the objective; the objective therefore never
     decreases, and termination is guaranteed.
 
-    The search is deterministic. A normalizing constant that has to be
-    estimated on the fly is calibrated once for the pairs and once for the
-    blocks, then shared by every evaluation.
+    The search is deterministic. The components are ranked once for the
+    pairs and once for the blocks, and each pair and block gets one neighbor
+    search, on its columns of that copula; the values equal
+    :func:`renyi_mi` on the raw columns, bitwise. A normalizing constant
+    that has to be estimated on the fly is calibrated once for the pairs
+    and once for the blocks, then shared by every evaluation.
     """
     ps = as_point_set(ics)
     d, m = check_integer(subspace_dim, "subspace_dim"), check_integer(num_sources, "num_sources")
@@ -238,6 +253,7 @@ def group_components(
             f"{ps.d} components cannot be grouped into {m} blocks of {d}"
         )
     block_settings = resolve_settings(settings, d)
+    copula = empirical_copula(ps).points
 
     mi_cache: dict[frozenset, float] = {}
 
@@ -247,8 +263,7 @@ def group_components(
             if len(block) == 1:
                 mi_cache[key] = 0.0
             else:
-                cols = ps.points[:, sorted(block)]
-                mi_cache[key] = renyi_mi(cols, block_settings).value
+                mi_cache[key] = _copula_mi(copula, sorted(block), block_settings)
         return mi_cache[key]
 
     if d == 1:

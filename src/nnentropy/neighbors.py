@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,6 +42,12 @@ _TIE_RTOL = 1e-9
 # exhaustive scan and in the batched tie resolution.
 _BLOCK_ELEMENTS = 2**24
 
+# Inputs with fewer coordinates than this (rows x d) are queried on the
+# calling thread. Measured on 2 cores for d = 2 to 25, a second thread
+# saves at most 0.5 ms of wall time per query up to 8192 coordinates and
+# costs as much CPU time; from 10240 up it cuts wall time by 20-45%.
+_THREADED_QUERY_ELEMENTS = 10_000
+
 
 def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
@@ -56,8 +63,10 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
         exhaustive reference scan the kd-tree is tested against. Both
         return identical output.
     workers : int
-        Worker threads for the kd-tree queries; -1 uses all cores. The
-        output does not depend on it.
+        Cap on the worker threads of the kd-tree query; -1 uses all cores.
+        Inputs of fewer than 10,000 coordinates (rows x d) are queried on
+        the calling thread whatever the cap, because starting threads
+        costs more than they save there. The output does not depend on it.
 
     Returns
     -------
@@ -71,6 +80,8 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     X = ps.points
     n = X.shape[0]
     k = check_integer(k, "k")
+    if not (isinstance(workers, Integral) and workers == -1):
+        workers = check_integer(workers, "workers (or -1 for all cores)")
     if k >= n:
         raise InsufficientPointsError(
             f"k={k} neighbor ranks requested but the sample has only {n} points "
@@ -117,6 +128,8 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     """
     n = X.shape[0]
     m = min(k + 2, n)
+    if X.size < _THREADED_QUERY_ELEMENTS:
+        workers = 1
     tree = cKDTree(X)
     dist_s, idx_s = tree.query(X, k=m, workers=workers)
     gaps = np.diff(dist_s, axis=1)

@@ -8,18 +8,24 @@ import pytest
 
 from nnentropy import (
     DataFormatError,
+    EstimatorSettings,
     Gaussian,
     IsaExperimentConfig,
     PAPER_SCALE_ISA,
     Product,
     RateExperimentConfig,
+    RateRow,
     UniformCube,
     Wireframe3D,
     gaussian_renyi_mi,
+    histogram_mi,
     mi_rate_exponent,
     mi_truth,
+    renyi_mi,
+    resolve_settings,
     run_isa_experiment,
     run_rate_experiment,
+    sample,
 )
 
 EQUI3 = np.full((3, 3), 0.5) + np.diag(np.full(3, 0.5))
@@ -203,6 +209,35 @@ class TestRunRateExperiment:
         assert notes[0].run is None and notes[0].abs_error is None
         assert result.summary()["notes"] == ["histogram infeasible in this dimension"]
         assert "hist" not in result.mean_errors()
+
+    @pytest.mark.parametrize("extra", [[], [{"label": "deep", "S": [2, 5]}]])
+    def test_rows_equal_per_estimator_calls(self, gamma_cache, extra):
+        # run_rate_experiment ranks and searches each sample once; every row must equal
+        # what renyi_mi and histogram_mi give on that sample, bitwise.
+        estimators = [{"label": "kth", "S": [3]}, {"label": "knn", "S": [1, 2, 3]}, *extra]
+        config = _tiny_rate_config(
+            distribution={"kind": "gaussian", "d": 3, "rho": 0.5}, estimators=estimators
+        )
+        result = run_rate_experiment(config, seed=8, cache=gamma_cache)
+        settings = {
+            label: resolve_settings(
+                EstimatorSettings(
+                    alpha=config.alpha, spec=spec, cache=gamma_cache,
+                    n_cal=config.n_cal, reps=config.reps,
+                ),
+                3,
+            )
+            for label, spec in config.estimators
+        }
+        streams = np.random.SeedSequence(8).spawn(len(config.n_grid) * config.runs)
+        expected = []
+        for ni, n in enumerate(config.n_grid):
+            for run in range(config.runs):
+                points = sample(config.distribution, n, streams[ni * config.runs + run])
+                values = [(label, renyi_mi(points, settings[label]).value) for label in settings]
+                values.append(("hist", histogram_mi(points, config.alpha).value))
+                expected += [RateRow(n, run, l, abs(v - config.truth)) for l, v in values]
+        assert [r for r in result.rows if r.run is not None] == expected
 
     def test_deterministic(self, gamma_cache):
         config = _tiny_rate_config()

@@ -1,5 +1,7 @@
 """Whitening, fixed-point ICA, block grouping, and the separation score."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ class TestWhiten:
     def test_output_is_white(self):
         rng = np.random.default_rng(0)
         X = rng.random((400, 3)) @ np.array([[2.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 0.2]])
-        white, matrix = whiten(X)
+        white, matrix = whiten(X, n_components=3)
         assert matrix.shape == (3, 3)
         assert np.allclose(white.points.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(np.cov(white.points.T), np.eye(3), atol=1e-8)
@@ -49,7 +51,7 @@ class TestWhiten:
     def test_scale_invariant(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((200, 2))
-        assert np.allclose(whiten(X)[0].points, whiten(3.0 * X)[0].points, atol=1e-9)
+        assert np.allclose(whiten(X, 2)[0].points, whiten(3.0 * X, 2)[0].points, atol=1e-9)
 
     def test_projection_keeps_leading_directions(self):
         rng = np.random.default_rng(2)
@@ -66,11 +68,11 @@ class TestWhiten:
         rng = np.random.default_rng(3)
         u = rng.random(50)
         with pytest.raises(DegenerateSampleError, match="singular"):
-            whiten(np.column_stack([u, 2.0 * u]))
+            whiten(np.column_stack([u, 2.0 * u]), n_components=2)
 
     def test_needs_two_points(self):
         with pytest.raises(DegenerateSampleError):
-            whiten(np.zeros((1, 2)))
+            whiten(np.zeros((1, 2)), n_components=2)
 
     @pytest.mark.parametrize("keep", [0, 4])
     def test_component_count_bounds(self, keep):
@@ -82,7 +84,7 @@ class TestFastica:
     def test_recovers_independent_uniforms(self):
         rng = np.random.default_rng(5)
         S = (rng.random((3000, 2)) - 0.5) * np.sqrt(12.0)
-        white, w_white = whiten(S)
+        white, w_white = whiten(S, n_components=2)
         result = fastica(white, seed=0)
         assert result.converged
         assert result.warnings == ()
@@ -91,13 +93,13 @@ class TestFastica:
 
     def test_rows_orthonormal(self):
         rng = np.random.default_rng(6)
-        white, _ = whiten(rng.random((500, 3)))
+        white, _ = whiten(rng.random((500, 3)), n_components=3)
         w = fastica(white, seed=1).w
         assert np.allclose(w @ w.T, np.eye(3), atol=1e-8)
 
     def test_iteration_cap_warns(self):
         rng = np.random.default_rng(7)
-        white, _ = whiten(rng.random((300, 2)))
+        white, _ = whiten(rng.random((300, 2)), n_components=2)
         result = fastica(white, seed=0, max_iter=1)
         assert not result.converged
         assert result.iterations == 1
@@ -105,7 +107,7 @@ class TestFastica:
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(8)
-        white, _ = whiten(rng.random((300, 2)))
+        white, _ = whiten(rng.random((300, 2)), n_components=2)
         assert np.array_equal(fastica(white, seed=3).w, fastica(white, seed=3).w)
 
 
@@ -119,6 +121,31 @@ class TestPairwiseMiMatrix:
         # within-pair dependence beats cross-pair dependence
         assert m[0, 2] > m[0, 1]
         assert m[1, 3] > m[1, 2]
+
+
+class TestCopulaSlices:
+    """Pairs and blocks are scored on column slices of one copula of the
+    components; the values equal renyi_mi on the raw columns, bitwise."""
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_pairwise_matrix_equals_per_pair_mi(self, decimals):
+        X = _blocky_components(n=300)
+        if decimals is not None:
+            X = np.round(X, decimals)
+        m = pairwise_mi_matrix(X, FIXED)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert m[i, j] == renyi_mi(X[:, [i, j]], FIXED).value
+
+    @pytest.mark.parametrize("gamma", [1.0, "analytic"])
+    def test_objective_equals_per_block_mi(self, gamma):
+        rng = np.random.default_rng(15)
+        a, b = rng.random((2, 400))
+        X = np.column_stack([a, b, a + 0.1 * rng.random(400), np.round(b, 1), a * b, rng.random(400)])
+        settings = EstimatorSettings(alpha=0.7, gamma=gamma)
+        sol = group_components(X, 3, 2, settings)
+        expected = math.fsum(renyi_mi(X[:, list(block)], settings).value for block in sol.blocks)
+        assert sol.objective == expected
 
 
 class TestGroupComponents:

@@ -132,13 +132,71 @@ def test_matches_reference_scan(d):
     assert np.allclose(dist, ref_dist, rtol=1e-12, atol=0.0)
 
 
-def test_worker_count_does_not_change_output():
+# One size queried on the calling thread, one large enough to start threads.
+@pytest.mark.parametrize("n", [400, 4000])
+def test_worker_count_does_not_change_output(n):
     rng = np.random.default_rng(3)
-    X = rng.random((400, 3))
+    X = rng.random((n, 3))
+    assert (X.size >= neighbors._THREADED_QUERY_ELEMENTS) == (n == 4000)
     idx1, len1 = knn_all(X, 4, workers=1)
     idx2, len2 = knn_all(X, 4, workers=-1)
     assert np.array_equal(idx1, idx2)
     assert np.array_equal(len1, len2)
+
+
+def test_small_queries_run_on_the_calling_thread(monkeypatch):
+    asked = []
+
+    class Tree(cKDTree):
+        def query(self, x, k, workers):
+            asked.append(workers)
+            return super().query(x, k=k, workers=workers)
+
+    monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    rng = np.random.default_rng(4)
+    threshold = neighbors._THREADED_QUERY_ELEMENTS
+    for n, d in [(threshold // 3, 3), (threshold // 3 + 1, 3), (threshold // 25 - 1, 25)]:
+        knn_all(rng.random((n, d)), 2, workers=-1)
+        knn_all(rng.random((n, d)), 2, workers=2)
+    assert asked == [1, 1, -1, 2, 1, 1]
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.0, True])
+@pytest.mark.parametrize("n", [10, 4000])
+def test_invalid_worker_count_rejected_at_every_size(workers, n):
+    with pytest.raises(ValueError, match="workers"):
+        knn_all(np.random.default_rng(5).random((n, 3)), 1, workers=workers)
+
+
+@pytest.mark.parametrize("case", ["continuous", "rounded-gaussian-copula"])
+def test_threaded_sizes_match_scan(case):
+    rng = np.random.default_rng(6)
+    if case == "continuous":
+        X = rng.random((4000, 3))
+    else:
+        X = np.vstack([_rounded_gaussian_copula(rng) for _ in range(5)])
+    assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
+    assert_matches_scan(X, 3)
+
+
+def _lattice_copula(rng):
+    return empirical_copula(rng.random((600, 3))).points
+
+
+# knn_all(X, k) is the first k columns of a deeper search: both are ordered by
+# (length, index), so a caller may search once at its largest rank.
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize(
+    "build",
+    [lambda rng: rng.random((600, 3)), _lattice_copula, _rounded_gaussian_copula, _integer_grid],
+    ids=["continuous", "copula-lattice", "rounded-gaussian-copula", "integer-grid"],
+)
+def test_fewer_ranks_are_the_leading_columns(build, k):
+    X = build(np.random.default_rng(9))
+    idx, lengths = knn_all(X, k)
+    deep_idx, deep_lengths = knn_all(X, k + 2)
+    assert np.array_equal(idx, deep_idx[:, :k])
+    assert lengths.tobytes() == np.ascontiguousarray(deep_lengths[:, :k]).tobytes()
 
 
 def test_auto_matches_scan_at_21_dimensions():
