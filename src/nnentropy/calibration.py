@@ -93,25 +93,27 @@ def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEsti
     the unit cube, computes ``L_p / n_cal^(1-p/d)`` for each, and returns
     the replication mean and its standard error. Each replication uses a
     child stream spawned from ``seed``, so the result is deterministic and
-    independent of evaluation order or thread count.
+    independent of evaluation order or thread count. One replication's
+    sample and graph are freed before the next is drawn.
     """
     if not isinstance(key, GammaKey):
         raise ValueError("key must be a GammaKey")
     seed = check_integer(seed, "seed", 0)
     streams = np.random.SeedSequence(seed).spawn(key.reps)
-    scale = key.n_cal ** (1.0 - key.p / key.d)
-    values = np.empty(key.reps)
-    for r, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        pts = rng.random((key.n_cal, key.d))
-        graph = build_nn_graph(pts, key.spec, workers=workers)
-        values[r] = l_p(graph, key.p) / scale
+    values = np.array([_replication(key, stream, workers) for stream in streams])
     mean = float(values.mean())
     if key.reps > 1:
         std_error = float(values.std(ddof=1) / math.sqrt(key.reps))
     else:
         std_error = 0.0
     return GammaEstimate(key=key, seed=seed, mean=mean, std_error=std_error)
+
+
+def _replication(key: GammaKey, stream: np.random.SeedSequence, workers: int) -> float:
+    """``L_p / n_cal^(1-p/d)`` of one uniform sample drawn from ``stream``."""
+    pts = np.random.default_rng(stream).random((key.n_cal, key.d))
+    graph = build_nn_graph(pts, key.spec, workers=workers)
+    return l_p(graph, key.p) / key.n_cal ** (1.0 - key.p / key.d)
 
 
 def gamma_analytic(d: int, p: float, k: int) -> float:

@@ -208,7 +208,6 @@ def cmd_calibrate(args) -> None:
 
 
 def cmd_estimate(args) -> None:
-    points = PointSet(_read_csv(args.input))
     settings = EstimatorSettings(
         alpha=args.alpha,
         spec=args.S,
@@ -216,6 +215,7 @@ def cmd_estimate(args) -> None:
         cache=args.cache,
         workers=args.threads,
     )
+    points = PointSet(_read_csv(args.input))
     estimator = renyi_entropy if args.command == "entropy" else renyi_mi
     report = estimator(points, settings)
     _emit({"tool_version": __version__, "input": str(args.input), **report.to_dict()})

@@ -37,6 +37,7 @@ from .points import (
     check_alpha,
     check_integer,
     check_real,
+    check_workers,
 )
 
 __all__ = [
@@ -90,8 +91,9 @@ class EstimatorSettings:
         calibration, which always runs at seed 0: integers (not bools or
         floats) with ``n_cal > max(spec)`` and ``reps >= 1``.
     workers : int
-        Cap on the worker threads of neighbor queries; -1 uses all cores.
-        Small queries run on the calling thread (see ``knn_all``).
+        Cap on the worker threads of neighbor queries: -1 uses all cores,
+        otherwise an integer >= 1 (not a bool or a float). Small queries
+        run on the calling thread (see ``knn_all``).
     """
 
     alpha: float
@@ -108,6 +110,7 @@ class EstimatorSettings:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", spec.k + 1))
         object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
+        object.__setattr__(self, "workers", check_workers(self.workers))
         g = self.gamma
         if isinstance(g, Real):
             object.__setattr__(self, "gamma", check_real(g, "explicit gamma"))

@@ -126,7 +126,8 @@ class RateExperimentConfig:
     :func:`mi_truth`. ``estimators`` pairs a CSV label (a string) with the
     neighbor ranks it uses. Every field is checked on construction: the sizes,
     ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
-    floats), ``alpha`` a real in (0, 1) and ``histogram`` a bool.
+    floats), every size and ``n_cal`` larger than the largest rank,
+    ``alpha`` a real in (0, 1) and ``histogram`` a bool.
     """
 
     distribution: DistributionSpec
@@ -141,12 +142,6 @@ class RateExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "truth", check_real(self.truth, "truth", -math.inf))
-        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
-            raise ValueError(f"n_grid must be a nonempty list of sizes, got {self.n_grid!r}")
-        grid = tuple(check_integer(n, "n_grid size", 2) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         ests = tuple((label, as_neighbor_spec(spec)) for label, spec in self.estimators)
         if not ests:
             raise ValueError("at least one estimator is required")
@@ -156,9 +151,15 @@ class RateExperimentConfig:
         if len({label for label, _ in ests}) != len(ests):
             raise ValueError("estimator labels must be distinct")
         object.__setattr__(self, "estimators", ests)
+        k = max(spec.k for _, spec in ests)
+        if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
+            raise ValueError(f"n_grid must be a nonempty list of sizes, got {self.n_grid!r}")
+        grid = tuple(check_integer(n, "n_grid size", k + 1) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not isinstance(self.histogram, bool):
             raise ValueError(f"histogram must be true or false, got {self.histogram!r}")
-        k = max(spec.k for _, spec in ests)
         object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", k + 1))
         object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
 

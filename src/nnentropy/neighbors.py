@@ -10,19 +10,22 @@ trusted only where they are separated by a clear relative gap; all other
 rows (ties, near-ties at floating-point resolution and duplicate points)
 are resolved exactly in one batched pass that queries one distance ball
 per distinct point and sorts every ball by (length, index).
+
+The tree is queried one block of rows at a time, so the search's scratch
+memory beyond the tree and the output arrays is one block of rows plus the
+tie batch: it does not grow with the number of clear rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from numbers import Integral
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InsufficientPointsError
-from .points import as_point_set, check_integer
+from .points import as_point_set, check_integer, check_workers
 
 __all__ = ["knn_all"]
 
@@ -42,6 +45,14 @@ _TIE_RTOL = 1e-9
 # exhaustive scan and in the batched tie resolution.
 _BLOCK_ELEMENTS = 2**24
 
+# Rows per kd-tree query. The search holds the k + 2 reported neighbors, the
+# gap test and the recomputed lengths of one block at a time. Measured on 2
+# cores at n = 200,000, d = 3, k = 3: blocks of 16,384 rows hold 21 MiB in
+# all where one query over every row held 75 MiB. Split into blocks of 16,384
+# to 65,536 rows, a threaded query costs 3-5% more CPU time than in one call;
+# blocks of 4,096 rows cost up to 15% more.
+_QUERY_BLOCK_ROWS = 16_384
+
 # Inputs with fewer coordinates than this (rows x d) are queried on the
 # calling thread. Measured on 2 cores for d = 2 to 25, a second thread
 # saves at most 0.5 ms of wall time per query up to 8192 coordinates and
@@ -51,6 +62,10 @@ _THREADED_QUERY_ELEMENTS = 10_000
 
 def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
+
+    The kd-tree search holds, besides the tree and the output arrays, the
+    scratch of one block of rows (their ``k + 2`` reported neighbors, the
+    gap test and the recomputed lengths) plus the batch of tie rows.
 
     Parameters
     ----------
@@ -80,8 +95,7 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     X = ps.points
     n = X.shape[0]
     k = check_integer(k, "k")
-    if not (isinstance(workers, Integral) and workers == -1):
-        workers = check_integer(workers, "workers (or -1 for all cores)")
+    workers = check_workers(workers)
     if k >= n:
         raise InsufficientPointsError(
             f"k={k} neighbor ranks requested but the sample has only {n} points "
@@ -120,37 +134,44 @@ def _knn_brute(X: np.ndarray, k: int):
 def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     """kd-tree search, exact at every dimension.
 
-    One query asks the tree for ``k + 2`` neighbors of every point. A row is
-    taken as reported when the point itself comes first and consecutive
-    reported distances have a clear relative gap; only then can the tree's
-    ordering be trusted to match the tie-broken reference. All other rows
-    go to :func:`_resolve_ties` together.
+    The tree is asked for ``k + 2`` neighbors of every point, one block of
+    ``_QUERY_BLOCK_ROWS`` rows at a time. A row is taken as reported when
+    the point itself comes first and consecutive reported distances have a
+    clear relative gap; only then can the tree's ordering be trusted to
+    match the tie-broken reference. All other rows, from every block, go to
+    :func:`_resolve_ties` together after the last block.
     """
     n = X.shape[0]
     m = min(k + 2, n)
     if X.size < _THREADED_QUERY_ELEMENTS:
         workers = 1
     tree = cKDTree(X)
-    dist_s, idx_s = tree.query(X, k=m, workers=workers)
-    gaps = np.diff(dist_s, axis=1)
-    clear = (idx_s[:, 0] == np.arange(n)) & (gaps > _TIE_RTOL * dist_s[:, 1:]).all(axis=1)
-
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
+    tie_rows, tie_radii = [], []
+    for start in range(0, n, _QUERY_BLOCK_ROWS):
+        stop = min(start + _QUERY_BLOCK_ROWS, n)
+        dist_s, idx_s = tree.query(X[start:stop], k=m, workers=workers)
+        block = np.arange(start, stop)
+        gaps = np.diff(dist_s, axis=1)
+        clear = (idx_s[:, 0] == block) & (gaps > _TIE_RTOL * dist_s[:, 1:]).all(axis=1)
 
-    rows = np.nonzero(clear)[0]
-    if rows.size:
-        sel = idx_s[rows, 1 : k + 1]
+        rows, sel = block[clear], idx_s[clear, 1 : k + 1]
         diff = X[sel] - X[rows][:, None, :]
         indices[rows] = sel
         lengths[rows] = np.sqrt((diff * diff).sum(axis=-1))
 
-    rows = np.nonzero(~clear)[0]
-    if rows.size:
-        # The farthest reported distance, widened by the tie tolerance, is a
-        # ball radius that holds every point tied with the k-th neighbor.
-        radii = dist_s[rows, -1] * (1.0 + _TIE_RTOL)
-        indices[rows], lengths[rows] = _resolve_ties(tree, X, rows, radii, k)
+        if not clear.all():
+            # The farthest reported distance, widened by the tie tolerance, is
+            # a ball radius that holds every point tied with the k-th neighbor.
+            tie_rows.append(block[~clear])
+            tie_radii.append(dist_s[~clear, -1] * (1.0 + _TIE_RTOL))
+
+    if tie_rows:
+        rows = np.concatenate(tie_rows)
+        indices[rows], lengths[rows] = _resolve_ties(
+            tree, X, rows, np.concatenate(tie_radii), k
+        )
     return indices, lengths
 
 

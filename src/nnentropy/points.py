@@ -2,11 +2,12 @@
 parameter checks.
 
 The value types are the small immutable ones shared by the graph layer, the
-estimators, and the diagnostics. The four ``check_*`` functions are the one
-check for each kind of scalar parameter (an integer with a minimum, the
-order alpha, the power p, a finite real) that every entry point of the
-package applies: an integer parameter must be an integer, not a bool or a
-float, and a real one a finite number, not a bool or a string.
+estimators, and the diagnostics. The five ``check_*`` functions are the one
+check for each kind of scalar parameter (an integer with a minimum, a
+worker-thread cap, the order alpha, the power p, a finite real) that every
+entry point of the package applies: an integer parameter must be an
+integer, not a bool or a float, and a real one a finite number, not a bool
+or a string.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "as_point_set",
     "as_neighbor_spec",
     "check_integer",
+    "check_workers",
     "check_alpha",
     "check_power",
     "check_real",
@@ -37,6 +39,13 @@ def check_integer(value, name: str, minimum: int = 1) -> int:
     if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
         return int(value)
     raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_workers(workers) -> int:
+    """A worker-thread cap as an ``int``: -1 (all cores) or an integer >= 1, not a bool."""
+    if isinstance(workers, Integral) and workers == -1:
+        return -1
+    return check_integer(workers, "workers (or -1 for all cores)")
 
 
 def check_real(value, name: str, minimum: float = 0.0, strict: bool = True) -> float:

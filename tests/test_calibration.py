@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestEstimateGamma:
         small = estimate_gamma(GammaKey(d=1, p=0.5, spec=(1,), n_cal=10_000, reps=3), seed=1)
         large = estimate_gamma(GammaKey(d=1, p=0.5, spec=(1,), n_cal=40_000, reps=3), seed=1)
         assert small.mean == pytest.approx(large.mean, rel=0.01)
+
+    def test_each_replication_is_freed_before_the_next(self):
+        # One replication of 100000 points in d = 3 peaks near 16 MiB; with
+        # the previous sample and graph still alive it reaches 23 MiB (and
+        # 47 MiB when every row is queried at once).
+        key = GammaKey(d=3, p=0.9, spec=(1, 2, 3), n_cal=100_000, reps=3)
+        tracemalloc.start()
+        try:
+            estimate_gamma(key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_std_error_shrinks_like_root_reps(self):
         """Mean se(10)/se(40) over seeds is within 20% of sqrt(40/10) = 2."""

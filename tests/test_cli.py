@@ -145,6 +145,14 @@ class TestEntropy:
         code, _, err = run_cli(["entropy", str(tmp_path / "nope.csv"), "--alpha", "0.7"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_thread_count_fails_before_reading(self, tmp_path, threads, capsys):
+        # The input does not exist: reading it would exit 3.
+        argv = ["entropy", str(tmp_path / "nope.csv"), "--alpha", "0.7", "--threads", threads]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "workers (or -1 for all cores) must be an integer >= 1" in err
+
     def test_too_few_points(self, tmp_path, capsys):
         path = write_csv(tmp_path / "two.csv", [[0.1, 0.2], [0.3, 0.4]])
         code, _, err = run_cli(["entropy", path, "--alpha", "0.7", "--gamma", "1.0"], capsys)

@@ -53,6 +53,16 @@ class TestEstimatorSettings:
             with pytest.raises(ValueError, match="^cache must be a GammaCache or None"):
                 EstimatorSettings(alpha=0.5, cache=path)
 
+    @pytest.mark.parametrize("workers", [0, -2, 1.0, True])
+    def test_workers_must_be_minus_one_or_positive(self, workers):
+        with pytest.raises(ValueError, match=r"^workers \(or -1 for all cores\) must be an integer"):
+            EstimatorSettings(alpha=0.7, workers=workers)
+
+    def test_workers_is_coerced(self):
+        for workers in (-1, 1, np.int64(2)):
+            settings = EstimatorSettings(alpha=0.7, workers=workers)
+            assert settings.workers == workers and type(settings.workers) is int
+
     def test_spec_is_coerced(self):
         assert EstimatorSettings(alpha=0.5, spec=[2, 1]).spec == NeighborSpec((1, 2))
         with pytest.raises(ValueError, match="^neighbor rank must be an integer"):

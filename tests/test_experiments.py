@@ -154,6 +154,10 @@ class TestRateConfig:
                 },
                 "estimator label must be a string, got 5",
             ),
+            (
+                {"distribution": {"kind": "uniform_cube", "d": 2}, "n_grid": [50, 3]},
+                "n_grid size must be an integer >= 4, got 3",
+            ),
         ],
     )
     def test_invalid_configs(self, obj, message):

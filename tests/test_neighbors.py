@@ -1,5 +1,7 @@
 """Exact k-nearest-neighbor queries: correctness, ties, and path agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -214,3 +216,79 @@ def test_k_bounds():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="method"):
         knn_all(np.zeros((5, 2)), 1, method="bogus")
+
+
+def _rounded_piles(rng):
+    # Rows rounded to a 0.1 grid pile up on shared sites all through the row
+    # order; the appended copy of row 0 puts one pile's ends in the first
+    # and in the last block for every block size; 92 rows leave a partial
+    # last block at 7 and at n - 1 rows.
+    X = np.round(rng.random((91, 2)), 1)
+    return np.vstack([X, X[:1]])
+
+
+BLOCK_CASES = {
+    "continuous": lambda rng: rng.random((300, 3)),
+    "copula-lattice": _lattice_copula,
+    "rounded-piles": _rounded_piles,
+}
+
+
+def _assert_blocks_match(monkeypatch, X, size, workers):
+    """Queried in blocks of ``size`` rows, knn_all equals one block and the scan."""
+    assert len(X) < neighbors._QUERY_BLOCK_ROWS
+    unblocked = {w: knn_all(X, 3, workers=w) for w in workers}
+    idx_b, len_b = knn_all(X, 3, method="brute")
+    tie_batches = []
+    real = neighbors._resolve_ties
+
+    def resolve_ties(tree, X, rows, radii, k):
+        tie_batches.append(rows)
+        return real(tree, X, rows, radii, k)
+
+    monkeypatch.setattr(neighbors, "_resolve_ties", resolve_ties)
+    monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
+    for w in workers:
+        idx, lengths = knn_all(X, 3, workers=w)
+        assert np.array_equal(idx, idx_b) and np.array_equal(idx, unblocked[w][0])
+        assert lengths.tobytes() == len_b.tobytes() == unblocked[w][1].tobytes()
+    # Tie rows from all blocks reach the resolution once per search, in order.
+    assert len(tie_batches) <= len(workers)
+    for rows in tie_batches:
+        assert np.array_equal(rows, np.unique(rows))
+    return tie_batches
+
+
+@pytest.mark.parametrize("size", ["1", "7", "n-1"])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocked_query_matches_scan(monkeypatch, case, size):
+    X = BLOCK_CASES[case](np.random.default_rng(12))
+    n = len(X)
+    size = {"1": 1, "7": 7, "n-1": n - 1}[size]
+    tie_batches = _assert_blocks_match(monkeypatch, X, size, workers=(1,))
+    if case == "continuous":
+        assert not tie_batches  # every row is taken from its own block's query
+    if case == "rounded-piles":
+        blocks = np.unique(tie_batches[0] // size)
+        assert blocks.size > 1 and blocks[-1] == (n - 1) // size
+
+
+@pytest.mark.parametrize("size", ["1", "7", "n-1"])
+def test_blocked_query_matches_scan_at_threaded_size(monkeypatch, size):
+    X = np.random.default_rng(13).random((4000, 3))
+    assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
+    size = {"1": 1, "7": 7, "n-1": len(X) - 1}[size]
+    assert not _assert_blocks_match(monkeypatch, X, size, workers=(1, -1))
+
+
+def test_scratch_is_bounded_by_one_block():
+    # The (100000, 3) outputs take 4.6 MiB. Querying every row at once held
+    # about 37 MiB; one block of rows holds under 14 MiB in all.
+    X = np.random.default_rng(14).random((100_000, 3))
+    tracemalloc.start()
+    try:
+        knn_all(X, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
