@@ -45,6 +45,7 @@ from .samplers import _as_seed_sequence
 __all__ = [
     "SURVEYED",
     "GROWTH_SPREAD_BOUND",
+    "PERTURBATION_EPSILONS",
     "TranslationScalingReport",
     "BoundaryReport",
     "GrowthIndegreeReport",
@@ -78,6 +79,10 @@ SURVEYED = {
 # so its spread across the n sweep is a fixed small factor by design, not a
 # surveyed quantity.
 GROWTH_SPREAD_BOUND = 3.0
+
+# Displacement norms of the perturbation check: small against the typical
+# neighbor distance of the surveyed samples (n = 1000 in the unit cube).
+PERTURBATION_EPSILONS = (1e-3, 1e-2)
 
 _DEFAULT_N_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
 
@@ -393,14 +398,14 @@ class PerturbationReport:
     passed: bool
 
 
-def check_perturbation(points, spec, p, epsilons=(1e-3, 1e-2), seed=0) -> PerturbationReport:
+def check_perturbation(points, spec, p, seed=0) -> PerturbationReport:
     """Bound ``|L_p(V + noise) - L_p(V)|`` by the frozen constant times ``n * eps^p``.
 
     Every point is displaced by a uniformly random direction scaled to
     Euclidean norm exactly ``eps``. The normalized ratio must stay within
-    the frozen bound for each ``eps``; the property is specific to
-    ``p < 1``, where small displacements cost the most relative to
-    ``eps^p``.
+    the frozen bound for each ``eps`` in ``PERTURBATION_EPSILONS``; the
+    property is specific to ``p < 1``, where small displacements cost the
+    most relative to ``eps^p``.
     """
     ps = as_point_set(points)
     spec = as_neighbor_spec(spec)
@@ -410,10 +415,9 @@ def check_perturbation(points, spec, p, epsilons=(1e-3, 1e-2), seed=0) -> Pertur
     bound = SURVEYED["perturbation"]
 
     base = l_p(build_nn_graph(ps, spec), p)
-    epsilons = tuple(epsilons)
     ratios = []
-    for eps, stream in zip(epsilons, _as_seed_sequence(seed).spawn(len(epsilons))):
-        eps = check_real(eps, "epsilon")
+    streams = _as_seed_sequence(seed).spawn(len(PERTURBATION_EPSILONS))
+    for eps, stream in zip(PERTURBATION_EPSILONS, streams):
         noise = np.random.default_rng(stream).standard_normal((ps.n, ps.d))
         noise /= np.linalg.norm(noise, axis=1, keepdims=True)
         moved = l_p(build_nn_graph(ps.points + eps * noise, spec), p)
@@ -515,7 +519,7 @@ def run_diagnostics(seed=0, quick: bool = True) -> DiagnosticsSummary:
 
     pert_cells = [(0.9,), (0.5,)]
     for (p,) in pert_cells if not quick else pert_cells[:1]:
-        config = {"n": 1000, "d": 3, "S": [1, 2, 3], "p": p, "epsilons": [1e-3, 1e-2]}
+        config = {"n": 1000, "d": 3, "S": [1, 2, 3], "p": p, "epsilons": list(PERTURBATION_EPSILONS)}
         report = check_perturbation(uniform(1000, 3), (1, 2, 3), p, seed=next(streams))
         record("perturbation", config, report)
 

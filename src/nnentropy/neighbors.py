@@ -8,23 +8,24 @@ exhaustive reference scan return bitwise-identical indices and lengths.
 The kd-tree serves every dimension. Its reported neighbor distances are
 trusted only where they are separated by a clear relative gap; all other
 rows (ties, near-ties at floating-point resolution and duplicate points)
-are resolved exactly in one batched pass that queries one distance ball
-per distinct point and sorts every ball by (length, index).
+are resolved exactly after the clear ones: each distinct point asks the
+tree for more nearest neighbors, doubling their number until every point
+tied with its k-th neighbor is among them, and sorts them by
+(length, index).
 
 The tree is queried one block of rows at a time, so the search's scratch
 memory beyond the tree and the output arrays is one block of rows plus the
-tie batch: it does not grow with the number of clear rows.
+tie rows: it does not grow with the number of clear rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InsufficientPointsError
+from .errors import DegenerateSampleError, InsufficientPointsError
 from .points import as_point_set, check_integer, check_workers
 
 __all__ = ["knn_all"]
@@ -42,7 +43,7 @@ BRUTE_FORCE_DIMENSION = math.inf
 _TIE_RTOL = 1e-9
 
 # Cap on scratch elements per block: coordinate differences in the
-# exhaustive scan and in the batched tie resolution.
+# exhaustive scan and candidate coordinates per slice of tie resolution.
 _BLOCK_ELEMENTS = 2**24
 
 # Rows per kd-tree query. The search holds the k + 2 reported neighbors, the
@@ -65,7 +66,8 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
 
     The kd-tree search holds, besides the tree and the output arrays, the
     scratch of one block of rows (their ``k + 2`` reported neighbors, the
-    gap test and the recomputed lengths) plus the batch of tie rows.
+    gap test and the recomputed lengths), the indices of the tie rows and
+    one slice of their candidates at a time.
 
     Parameters
     ----------
@@ -142,16 +144,15 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     :func:`_resolve_ties` together after the last block.
     """
     n = X.shape[0]
-    m = min(k + 2, n)
     if X.size < _THREADED_QUERY_ELEMENTS:
         workers = 1
     tree = cKDTree(X)
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
-    tie_rows, tie_radii = [], []
+    tie_rows = []
     for start in range(0, n, _QUERY_BLOCK_ROWS):
         stop = min(start + _QUERY_BLOCK_ROWS, n)
-        dist_s, idx_s = tree.query(X[start:stop], k=m, workers=workers)
+        dist_s, idx_s = _query(tree, X[start:stop], min(k + 2, n), workers)
         block = np.arange(start, stop)
         gaps = np.diff(dist_s, axis=1)
         clear = (idx_s[:, 0] == block) & (gaps > _TIE_RTOL * dist_s[:, 1:]).all(axis=1)
@@ -160,64 +161,66 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
         diff = X[sel] - X[rows][:, None, :]
         indices[rows] = sel
         lengths[rows] = np.sqrt((diff * diff).sum(axis=-1))
+        tie_rows.append(block[~clear])
 
-        if not clear.all():
-            # The farthest reported distance, widened by the tie tolerance, is
-            # a ball radius that holds every point tied with the k-th neighbor.
-            tie_rows.append(block[~clear])
-            tie_radii.append(dist_s[~clear, -1] * (1.0 + _TIE_RTOL))
-
-    if tie_rows:
-        rows = np.concatenate(tie_rows)
-        indices[rows], lengths[rows] = _resolve_ties(
-            tree, X, rows, np.concatenate(tie_radii), k
-        )
+    rows = np.concatenate(tie_rows)
+    if rows.size:
+        indices[rows], lengths[rows] = _resolve_ties(tree, X, rows, k)
     return indices, lengths
 
 
-def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, radii, k: int):
-    """Exact neighbors of ``X[rows]`` from distance balls of the given radii.
+def _query(tree: cKDTree, x: np.ndarray, m: int, workers: int):
+    """The tree's ``m`` nearest neighbors of each row of ``x``, by distance.
+
+    A distance the tree reports as infinite has overflowed float64, which no
+    tie test or length can recover; the search stops there.
+    """
+    dist, idx = tree.query(x, k=m, workers=workers)
+    if not np.isfinite(dist[:, -1]).all():
+        raise DegenerateSampleError(
+            "the sample's neighbor distances overflow float64; rescale the data"
+        )
+    return dist, idx
+
+
+def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, k: int):
+    """Exact neighbors of ``X[rows]`` from k-nearest queries that grow.
 
     Rows at identical coordinates have bitwise-identical distances to every
-    point, so they share one ball and one sorted order: one ball is queried
-    per distinct point, its candidates are sorted once by (length, index),
-    and each row takes the first ``k`` entries other than itself. A pile of
-    ``m`` duplicates thus costs one ball instead of ``m``. Candidates are
-    processed in chunks of at most ``_BLOCK_ELEMENTS`` coordinates.
-
-    The ball queries run on the calling thread: starting worker threads
-    costs more than a typical batch of tie rows, and threads would save
-    wall time, not CPU time, only on the largest batches.
+    point, so they share one query and one sorted order: a pile of
+    duplicates costs one query instead of one per row. Each distinct point
+    is asked for ``m = k + 2`` neighbors. Where the farthest reported
+    distance is not clearly beyond the (k+1)-th, a point tied with the
+    (k+1)-th may be missing, so ``m`` doubles for those points, up to every
+    point. The candidates are sorted by (length, index) and each row takes
+    the first ``k`` entries other than itself. Each round is queried in
+    slices of at most ``_BLOCK_ELEMENTS`` candidate coordinates, on the
+    calling thread: starting worker threads costs more than a typical batch
+    of tie rows.
     """
-    d = X.shape[1]
+    n, d = X.shape
     points, group = _distinct_rows(X[rows])
-    radius = np.zeros(len(points))
-    np.maximum.at(radius, group, radii)
-
-    # A ball holds its own point, so k + 1 entries leave k others. The radii
-    # cover the k + 2 points the tree reported, so a smaller ball means the
-    # tree's two queries disagreed; it is retried with a wider radius.
-    sizes = tree.query_ball_point(points, radius, return_length=True)
-    while (short := np.nonzero(sizes < k + 1)[0]).size:
-        radius[short] = np.maximum(radius[short] * 2.0, 1e-300)
-        sizes[short] = tree.query_ball_point(points[short], radius[short], return_length=True)
-
-    # The first k + 1 entries of each sorted ball.
+    # The first k + 1 candidates of each distinct point, by (length, index).
     head_idx = np.empty((len(points), k + 1), dtype=np.intp)
     head_sq = np.empty((len(points), k + 1), dtype=np.float64)
-    for chunk in _chunks(sizes * d, _BLOCK_ELEMENTS):
-        balls = tree.query_ball_point(points[chunk], radius[chunk])
-        counts = sizes[chunk]
-        cand = np.fromiter(itertools.chain.from_iterable(balls), np.intp, counts.sum())
-        owner = np.repeat(np.arange(counts.size), counts)
-        diff = X[cand] - points[chunk][owner]
-        sq = (diff * diff).sum(axis=-1)
-        order = np.lexsort((cand, sq, owner))
-        head = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k + 1)]
-        head_idx[chunk] = cand[head]
-        head_sq[chunk] = sq[head]
+    todo, m = np.arange(len(points)), min(k + 2, n)
+    while todo.size:
+        step = max(1, _BLOCK_ELEMENTS // (m * d))
+        wider = []
+        for start in range(0, todo.size, step):
+            part = todo[start : start + step]
+            dist, cand = _query(tree, points[part], m, 1)
+            done = (m == n) | (dist[:, -1] - dist[:, k] > _TIE_RTOL * dist[:, -1])
+            wider.append(part[~done])
+            part, cand = part[done], cand[done]
+            diff = X[cand] - points[part][:, None, :]
+            sq = (diff * diff).sum(axis=-1)
+            head = np.lexsort((cand, sq), axis=-1)[:, : k + 1]
+            head_idx[part] = np.take_along_axis(cand, head, axis=1)
+            head_sq[part] = np.take_along_axis(sq, head, axis=1)
+        todo, m = np.concatenate(wider), min(2 * m, n)
 
-    # Skip each row's own index if it sits among its ball's first k + 1.
+    # Skip each row's own index if it sits among its point's first k + 1.
     head_idx, head_sq = head_idx[group], head_sq[group]
     slot = np.arange(k + 1)
     own = np.where(head_idx == rows[:, None], slot, k).min(axis=1)
@@ -242,16 +245,3 @@ def _distinct_rows(P: np.ndarray):
     group[order] = np.cumsum(first) - 1
     return ordered[first], group
 
-
-def _chunks(weights: np.ndarray, budget: int):
-    """Consecutive slices of ``weights`` whose sums stay within ``budget``.
-
-    An item heavier than the budget gets a slice of its own.
-    """
-    ends = np.cumsum(weights)
-    start = 0
-    while start < len(weights):
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        yield slice(start, stop)
-        start = stop

@@ -163,6 +163,13 @@ class TestEntropy:
         code, _, err = run_cli(["entropy", path, "--alpha", "0.7", "--gamma", "1.0"], capsys)
         assert code == 4
 
+    def test_overflowing_distances_are_numerical_error(self, tmp_path, capsys):
+        pts = np.random.default_rng(7).random((500, 3)) * 1e155
+        path = write_csv(tmp_path / "huge.csv", pts)
+        code, _, err = run_cli(["entropy", path, "--alpha", "0.7", "--gamma", "analytic"], capsys)
+        assert code == 4
+        assert "overflow float64" in err
+
     def test_bad_gamma_flag(self, tmp_path, capsys):
         path = write_csv(tmp_path / "pts.csv", np.random.default_rng(6).random((10, 2)))
         code, _, _ = run_cli(["entropy", path, "--alpha", "0.7", "--gamma", "magic"], capsys)

@@ -173,10 +173,6 @@ class TestPerturbation:
         with pytest.raises(ValueError, match="0 < p < 1"):
             check_perturbation(_uniform(50, 2, 10), (1,), 1.0)
 
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            check_perturbation(_uniform(50, 2, 11), (1,), 0.5, epsilons=(0.0,))
-
 
 class TestRunDiagnostics:
     def test_quick_grid_passes(self):

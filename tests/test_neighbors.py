@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from nnentropy import InsufficientPointsError, empirical_copula, knn_all, neighbors
+from nnentropy import (
+    DegenerateSampleError,
+    InsufficientPointsError,
+    empirical_copula,
+    knn_all,
+    neighbors,
+)
 
 from .oracles import brute_knn
 
@@ -101,18 +107,44 @@ def test_tie_heavy_inputs_match_scan(case, k):
 
 
 def test_tie_resolution_in_small_chunks(monkeypatch):
-    # A budget below one ball's size puts every distinct point in its own chunk.
+    # A budget of 40 coordinates slices the first round (k + 2 = 5 candidates
+    # in 2 dimensions) into 4 points at a time, and every round from 20
+    # candidates on into single points.
     monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 40)
     assert_matches_scan(_integer_grid(np.random.default_rng(8)), 3)
 
 
-def test_undersized_balls_are_widened():
+def test_tie_resolution_of_a_subset_of_rows():
     X = _rounded_gaussian_copula(np.random.default_rng(4))
     rows = np.arange(0, len(X), 7)
-    idx, lengths = neighbors._resolve_ties(cKDTree(X), X, rows, np.zeros(rows.size), 3)
+    idx, lengths = neighbors._resolve_ties(cKDTree(X), X, rows, 3)
     idx_b, len_b = knn_all(X, 3, method="brute")
     assert np.array_equal(idx, idx_b[rows])
     assert lengths.tobytes() == len_b[rows].tobytes()
+
+
+def test_large_pile_widens_the_tie_query(monkeypatch):
+    # 500 copies of one point: each copy's first k + 1 by (length, index)
+    # are the lowest-indexed copies, which a (k + 2)-nearest query need not
+    # report, so the query grows until it holds the whole pile.
+    rng = np.random.default_rng(10)
+    X = np.vstack([np.repeat(rng.random((1, 3)), 500, axis=0), rng.random((50, 3))])
+    asked = []
+
+    class Tree(cKDTree):
+        def query(self, x, k, workers):
+            asked.append(k)
+            return super().query(x, k=k, workers=workers)
+
+    monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    assert_matches_scan(X, 3)
+    assert max(asked) > 3 + 2
+
+
+def test_overflowing_distances_raise():
+    X = np.random.default_rng(11).random((500, 3)) * 1e155
+    with pytest.raises(DegenerateSampleError, match="overflow float64"):
+        knn_all(X, 3)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 21])
@@ -242,9 +274,9 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
     tie_batches = []
     real = neighbors._resolve_ties
 
-    def resolve_ties(tree, X, rows, radii, k):
+    def resolve_ties(tree, X, rows, k):
         tie_batches.append(rows)
-        return real(tree, X, rows, radii, k)
+        return real(tree, X, rows, k)
 
     monkeypatch.setattr(neighbors, "_resolve_ties", resolve_ties)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
@@ -292,3 +324,17 @@ def test_scratch_is_bounded_by_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_tie_scratch_is_bounded():
+    # Almost every row of a rounded sample is a tie row. Resolving them in
+    # one batch of distance balls held 81 MiB; slices of k-nearest queries
+    # hold under 40 MiB in all, with 4.6 MiB of output.
+    X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
+    tracemalloc.start()
+    try:
+        knn_all(X, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
