@@ -118,7 +118,7 @@ def survey_add_one():
                 spec = NeighborSpec(ranks)
                 for n in (128, 512):
                     seed = np.random.SeedSequence((40, d, int(p * 10), len(ranks), n))
-                    report = check_add_one(d, spec, p, n, seeds=200, seed=seed)
+                    report = check_add_one(d, spec, p, n, seed=seed)
                     worst = max(worst, report.normalized_gap)
     print(f"  max normalized gap = {worst:.4f}  -> freeze add-one bound = {2 * worst:.4f}")
     return worst

@@ -6,171 +6,37 @@ graphs, and Renyi mutual information via the empirical copula transform.
 It ships the Monte-Carlo calibration of the graph constant, synthetic data
 generators, an independent-subspace-analysis pipeline built on the MI
 estimator, a structural diagnostics suite, and a command-line interface.
+
+Each module's ``__all__`` is its public list; the package exports their
+union. Other module-level names stay importable by module path.
 """
 
+from . import calibration, diagnostics, errors, estimators, experiments, graph, isa
+from . import neighbors, points, samplers, theory
 from ._version import __version__
-from .calibration import (
-    DEFAULT_N_CAL,
-    DEFAULT_REPS,
-    GammaCache,
-    GammaEstimate,
-    GammaKey,
-    estimate_gamma,
-    gamma_analytic,
-)
-from .diagnostics import (
-    GROWTH_SPREAD_BOUND,
-    SURVEYED,
-    DiagnosticsSummary,
-    check_add_one,
-    check_boundary_and_superadditivity,
-    check_growth_and_indegree,
-    check_perturbation,
-    check_smoothness,
-    check_subadditivity,
-    check_translation_scaling,
-    run_diagnostics,
-)
-from .errors import (
-    DataFormatError,
-    DegenerateSampleError,
-    GammaCacheError,
-    HistogramInfeasibleError,
-    InsufficientPointsError,
-    NNEntropyError,
-    OutsideCubeError,
-)
-from .estimators import (
-    DEFAULT_SPEC,
-    EstimateReport,
-    EstimatorSettings,
-    empirical_copula,
-    histogram_entropy,
-    histogram_mi,
-    renyi_entropy,
-    renyi_mi,
-    resolve_settings,
-)
-from .experiments import (
-    PAPER_SCALE_ISA,
-    IsaExperimentConfig,
-    IsaExperimentResult,
-    RateExperimentConfig,
-    RateExperimentResult,
-    RateRow,
-    mi_truth,
-    run_isa_experiment,
-    run_rate_experiment,
-)
-from .graph import NNGraph, build_boundary_graph, build_nn_graph, l_p
-from .isa import (
-    FastICAResult,
-    IsaProblem,
-    IsaSolution,
-    amari_block_index,
-    block_norm_matrix,
-    fastica,
-    group_components,
-    pairwise_mi_matrix,
-    run_isa,
-    whiten,
-)
-from .neighbors import knn_all
-from .points import Cube, NeighborSpec, PointSet, as_neighbor_spec, as_point_set
-from .samplers import (
-    WIREFRAME_SHAPES,
-    Gaussian,
-    Product,
-    UniformCube,
-    Wireframe3D,
-    mix,
-    sample,
-    spec_from_json,
-    spec_to_json,
-)
-from .theory import (
-    gaussian_renyi_entropy,
-    gaussian_renyi_mi,
-    mi_rate_exponent,
-    uniform_entropy,
-)
+from .calibration import *  # noqa: F403
+from .diagnostics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .isa import *  # noqa: F403
+from .neighbors import *  # noqa: F403
+from .points import *  # noqa: F403
+from .samplers import *  # noqa: F403
+from .theory import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "DEFAULT_N_CAL",
-    "DEFAULT_REPS",
-    "DEFAULT_SPEC",
-    "Cube",
-    "DataFormatError",
-    "DegenerateSampleError",
-    "DiagnosticsSummary",
-    "EstimateReport",
-    "EstimatorSettings",
-    "FastICAResult",
-    "GammaCache",
-    "GammaCacheError",
-    "GammaEstimate",
-    "GammaKey",
-    "Gaussian",
-    "HistogramInfeasibleError",
-    "InsufficientPointsError",
-    "GROWTH_SPREAD_BOUND",
-    "IsaExperimentConfig",
-    "IsaExperimentResult",
-    "IsaProblem",
-    "IsaSolution",
-    "NNEntropyError",
-    "PAPER_SCALE_ISA",
-    "RateExperimentConfig",
-    "RateExperimentResult",
-    "RateRow",
-    "NNGraph",
-    "NeighborSpec",
-    "OutsideCubeError",
-    "PointSet",
-    "Product",
-    "SURVEYED",
-    "UniformCube",
-    "WIREFRAME_SHAPES",
-    "Wireframe3D",
-    "amari_block_index",
-    "as_neighbor_spec",
-    "as_point_set",
-    "block_norm_matrix",
-    "build_boundary_graph",
-    "build_nn_graph",
-    "check_add_one",
-    "check_boundary_and_superadditivity",
-    "check_growth_and_indegree",
-    "check_perturbation",
-    "check_smoothness",
-    "check_subadditivity",
-    "check_translation_scaling",
-    "empirical_copula",
-    "estimate_gamma",
-    "fastica",
-    "gamma_analytic",
-    "gaussian_renyi_entropy",
-    "gaussian_renyi_mi",
-    "group_components",
-    "histogram_entropy",
-    "histogram_mi",
-    "knn_all",
-    "l_p",
-    "mi_rate_exponent",
-    "mi_truth",
-    "mix",
-    "pairwise_mi_matrix",
-    "renyi_entropy",
-    "renyi_mi",
-    "resolve_settings",
-    "run_diagnostics",
-    "run_isa",
-    "run_isa_experiment",
-    "run_rate_experiment",
-    "sample",
-    "spec_from_json",
-    "spec_to_json",
-    "uniform_entropy",
-    "whiten",
+    *calibration.__all__,
+    *diagnostics.__all__,
+    *errors.__all__,
+    *estimators.__all__,
+    *experiments.__all__,
+    *graph.__all__,
+    *isa.__all__,
+    *neighbors.__all__,
+    *points.__all__,
+    *samplers.__all__,
+    *theory.__all__,
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "GammaKey",
     "GammaEstimate",
     "estimate_gamma",
-    "estimate_record",
     "gamma_analytic",
     "GammaCache",
 ]
@@ -172,25 +171,14 @@ class GammaCache:
     a mistyped record raises :class:`GammaCacheError` naming its line
     instead of matching a key. Floats are written with Python's
     shortest-roundtrip repr, so cached means reload bit-exactly.
-    Reads and appends are serialized through an exclusive advisory lock on
-    the cache file, so concurrent processes may duplicate work but cannot
+    The one read is :meth:`lookup` and the one write the append in
+    :meth:`get_or_compute`; both hold an exclusive advisory lock on the
+    cache file, so concurrent processes may duplicate work but cannot
     corrupt the file.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-
-    def records(self) -> list[GammaEstimate]:
-        """Parse and validate all records, in file order; error on the first corrupt line."""
-        if not self.path.exists():
-            return []
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                return self._parse(fh)
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     def _parse(self, fh) -> list[GammaEstimate]:
         out = []
@@ -228,8 +216,20 @@ class GammaCache:
             raise GammaCacheError(f"{where}: invalid gamma record, {exc}") from None
 
     def lookup(self, key: GammaKey) -> GammaEstimate | None:
-        """Return the first cached estimate matching ``key``, if any."""
-        return next((est for est in self.records() if est.key == key), None)
+        """The first cached estimate matching ``key``, if any.
+
+        Every record is parsed and validated under the lock, so a corrupt
+        line raises :class:`GammaCacheError` whether or not it holds ``key``.
+        """
+        if not self.path.exists():
+            return None
+        with open(self.path, "a+", encoding="utf-8") as fh:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            try:
+                fh.seek(0)
+                return next((est for est in self._parse(fh) if est.key == key), None)
+            finally:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
     def get_or_compute(
         self, key: GammaKey, seed: int = 0, workers: int = -1

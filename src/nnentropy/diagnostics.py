@@ -45,14 +45,6 @@ from .samplers import _as_seed_sequence
 __all__ = [
     "SURVEYED",
     "GROWTH_SPREAD_BOUND",
-    "PERTURBATION_EPSILONS",
-    "TranslationScalingReport",
-    "BoundaryReport",
-    "GrowthIndegreeReport",
-    "SmoothnessReport",
-    "SubadditivityReport",
-    "AddOneReport",
-    "PerturbationReport",
     "DiagnosticsSummary",
     "check_translation_scaling",
     "check_boundary_and_superadditivity",
@@ -83,6 +75,9 @@ GROWTH_SPREAD_BOUND = 3.0
 # Displacement norms of the perturbation check: small against the typical
 # neighbor distance of the surveyed samples (n = 1000 in the unit cube).
 PERTURBATION_EPSILONS = (1e-3, 1e-2)
+
+# Replications of the add-one check, the count the frozen bound was surveyed at.
+ADD_ONE_SEEDS = 200
 
 _DEFAULT_N_SWEEP = (256, 512, 1024, 2048, 4096, 8192)
 
@@ -219,34 +214,25 @@ class GrowthIndegreeReport:
     passed: bool
 
 
-def check_growth_and_indegree(
-    trials: int, d: int, spec, p, n=None, seed=0, indegree_c=None
-) -> GrowthIndegreeReport:
+def check_growth_and_indegree(trials: int, d: int, spec, p, n=None, seed=0) -> GrowthIndegreeReport:
     """Sample uniform instances; bound the in-degree and the growth ratio.
 
     Over ``trials`` uniform samples per size, the maximum in-degree must
-    stay within ``c(d) * max(S)`` (``c`` from the frozen survey unless
-    ``indegree_c`` overrides it) and the per-size maxima of
-    ``L_p / n^(1-p/d)`` must have max/median at most 3 across the size
-    sweep (default ``n``: 256 to 8192 by doubling).
+    stay within ``c(d) * max(S)``, with ``c`` from the frozen survey, and
+    the per-size maxima of ``L_p / n^(1-p/d)`` must have max/median at most
+    3 across the size sweep ``n``, a sequence of sizes (default: 256 to
+    8192 by doubling). A dimension the survey did not cover raises
+    ``ValueError``.
     """
     spec = as_neighbor_spec(spec)
     d = check_integer(d, "d")
     p = check_power(p, d)
     trials = check_integer(trials, "trials")
-    if indegree_c is None:
-        try:
-            indegree_c = SURVEYED["indegree_c"][d]
-        except KeyError:
-            raise ValueError(
-                f"no surveyed in-degree constant for d={d}; pass indegree_c explicitly"
-            ) from None
-    indegree_c = check_real(indegree_c, "indegree_c")
-    if n is None:
-        n = _DEFAULT_N_SWEEP
-    sizes = tuple(check_integer(v, "n") for v in ((n,) if np.isscalar(n) else n))
+    if d not in SURVEYED["indegree_c"]:
+        raise ValueError(f"no surveyed in-degree constant for d={d}")
+    sizes = tuple(check_integer(v, "n") for v in (_DEFAULT_N_SWEEP if n is None else n))
 
-    bound = indegree_c * spec.k
+    bound = SURVEYED["indegree_c"][d] * spec.k
     max_indegree = 0
     ratios = []
     streams = _as_seed_sequence(seed).spawn(len(sizes) * trials)
@@ -360,14 +346,14 @@ class AddOneReport:
     passed: bool
 
 
-def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0) -> AddOneReport:
+def check_add_one(d: int, spec, p, n: int, seed=0) -> AddOneReport:
     """Bound ``|mean L_p(U_n) - mean L_p(U_(n+1))|`` by the frozen constant times ``n^(-p/d)``.
 
-    Each replication draws ``n + 1`` uniform points and evaluates ``L_p``
-    on the first ``n`` and on all of them, so the two means are coupled and
-    the Monte-Carlo noise largely cancels. This is a trend diagnostic: the
-    bound is generous because residual noise, not the add-one effect,
-    dominates at small ``n``.
+    Each of :data:`ADD_ONE_SEEDS` replications draws ``n + 1`` uniform
+    points and evaluates ``L_p`` on the first ``n`` and on all of them, so
+    the two means are coupled and the Monte-Carlo noise largely cancels.
+    This is a trend diagnostic: the bound is generous because residual
+    noise, not the add-one effect, dominates at small ``n``.
     """
     spec = as_neighbor_spec(spec)
     d = check_integer(d, "d")
@@ -375,15 +361,14 @@ def check_add_one(d: int, spec, p, n: int, seeds: int = 200, seed=0) -> AddOneRe
     n = check_integer(n, "n")
     if n <= spec.k:
         raise ValueError(f"n must exceed max(S) = {spec.k}, got {n}")
-    seeds = check_integer(seeds, "seeds")
     bound = SURVEYED["add_one"]
 
     small, big = [], []
-    for stream in _as_seed_sequence(seed).spawn(seeds):
+    for stream in _as_seed_sequence(seed).spawn(ADD_ONE_SEEDS):
         pts = np.random.default_rng(stream).random((n + 1, d))
         small.append(l_p(build_nn_graph(PointSet(pts[:n]), spec), p))
         big.append(l_p(build_nn_graph(PointSet(pts), spec), p))
-    gap = abs(math.fsum(small) / seeds - math.fsum(big) / seeds)
+    gap = abs(math.fsum(small) / ADD_ONE_SEEDS - math.fsum(big) / ADD_ONE_SEEDS)
     normalized = gap / n ** (-p / d)
     return AddOneReport(gap=gap, normalized_gap=normalized, bound=bound, passed=normalized <= bound)
 
@@ -514,8 +499,8 @@ def run_diagnostics(seed=0, quick: bool = True) -> DiagnosticsSummary:
 
     ao_cells = [(2, (1,), 0.9, 128), (3, (1, 2, 3), 1.5, 128)]
     for d, ranks, p, n in ao_cells if not quick else ao_cells[:1]:
-        config = {"d": d, "S": list(ranks), "p": p, "n": n, "seeds": 200}
-        record("add_one", config, check_add_one(d, ranks, p, n, seeds=200, seed=next(streams)))
+        config = {"d": d, "S": list(ranks), "p": p, "n": n, "seeds": ADD_ONE_SEEDS}
+        record("add_one", config, check_add_one(d, ranks, p, n, seed=next(streams)))
 
     pert_cells = [(0.9,), (0.5,)]
     for (p,) in pert_cells if not quick else pert_cells[:1]:

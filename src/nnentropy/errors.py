@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "NNEntropyError",
+    "InsufficientPointsError",
+    "OutsideCubeError",
+    "DegenerateSampleError",
+    "HistogramInfeasibleError",
+    "GammaCacheError",
+    "DataFormatError",
+]
+
 
 class NNEntropyError(Exception):
     """Base class for package-specific errors."""

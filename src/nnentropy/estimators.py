@@ -42,7 +42,6 @@ from .points import (
 
 __all__ = [
     "DEFAULT_SPEC",
-    "HISTOGRAM_CELL_BUDGET",
     "EstimatorSettings",
     "EstimateReport",
     "renyi_entropy",
@@ -256,15 +255,23 @@ def empirical_copula(points) -> PointSet:
     return PointSet(ranks)
 
 
+def _mi_sample(points) -> PointSet:
+    """``points`` as a :class:`PointSet` with the two or more coordinates MI is defined on."""
+    ps = as_point_set(points)
+    if ps.d < 2:
+        raise ValueError(f"mutual information needs d >= 2 coordinates, got d = {ps.d}")
+    return ps
+
+
 def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
-    """Mutual information among the coordinates of a sample.
+    """Mutual information among the ``d >= 2`` coordinates of a sample.
 
     Computed as minus the entropy estimate of the empirical copula. The
     consistency guarantee covers ``d >= 3`` and ``alpha`` in (1/2, 1);
     outside that range the estimate is still computed but the report
-    carries a warning.
+    carries a warning. A single coordinate raises ``ValueError``.
     """
-    ps = as_point_set(points)
+    ps = _mi_sample(points)
     warnings = []
     if ps.d < 3:
         warnings.append(_MI_DIMENSION_WARNING)
@@ -334,7 +341,7 @@ def histogram_mi(points, alpha: float) -> EstimateReport:
 
     Minus the histogram entropy of the empirical copula, under the same
     :data:`HISTOGRAM_CELL_BUDGET`, so it targets the same functional as
-    :func:`renyi_mi`.
+    :func:`renyi_mi`; like it, it needs ``d >= 2``.
     """
-    ent = histogram_entropy(empirical_copula(points), alpha)
+    ent = histogram_entropy(empirical_copula(_mi_sample(points)), alpha)
     return replace(ent, value=-ent.value, kind="histogram_mi")

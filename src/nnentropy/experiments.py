@@ -52,7 +52,6 @@ from .samplers import (
 from .theory import gaussian_renyi_mi, mi_rate_exponent
 
 __all__ = [
-    "DEFAULT_RATE_ESTIMATORS",
     "PAPER_SCALE_ISA",
     "RateExperimentConfig",
     "RateRow",
@@ -124,10 +123,11 @@ class RateExperimentConfig:
     ``truth`` is the target mutual information the errors are measured
     against; :meth:`from_dict` resolves the string ``"auto"`` through
     :func:`mi_truth`. ``estimators`` pairs a CSV label (a string) with the
-    neighbor ranks it uses. Every field is checked on construction: the sizes,
-    ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
-    floats), every size and ``n_cal`` larger than the largest rank,
-    ``alpha`` a real in (0, 1) and ``histogram`` a bool.
+    neighbor ranks it uses. Every field is checked on construction: the
+    distribution must have at least two coordinates, the sizes, ``runs``,
+    ``n_cal`` and ``reps`` must be integers (not bools or floats), every
+    size and ``n_cal`` larger than the largest rank, ``alpha`` a real in
+    (0, 1) and ``histogram`` a bool.
     """
 
     distribution: DistributionSpec
@@ -141,6 +141,8 @@ class RateExperimentConfig:
     reps: int = DEFAULT_REPS
 
     def __post_init__(self) -> None:
+        if spec_dim(self.distribution) < 2:
+            raise ValueError("mutual information needs a distribution with d >= 2 coordinates")
         object.__setattr__(self, "truth", check_real(self.truth, "truth", -math.inf))
         ests = tuple((label, as_neighbor_spec(spec)) for label, spec in self.estimators)
         if not ests:

@@ -2,9 +2,10 @@
 
 A graph for rank set ``S`` has one directed edge per vertex and rank: the
 edge for rank ``i`` points to the vertex's i-th nearest other point. The
-boundary variant rewires an edge to the enclosing cube's nearest boundary
-point whenever that is closer than the graph neighbor; it is the version
-whose total length is superadditive over a partition of the cube.
+boundary variant shortens an edge to the vertex's distance from the
+enclosing cube's boundary whenever that is less than the edge length; it
+is the version whose total length is superadditive over a partition of the
+cube.
 """
 
 from __future__ import annotations
@@ -32,21 +33,15 @@ class NNGraph:
 
     ``neighbor_index[i, j]`` is the target vertex of the edge emitted by
     vertex ``i`` for rank ``spec.indices[j]``; the value -1 marks an edge
-    redirected to the cube boundary (boundary graphs only), in which case
-    ``boundary_point[i, j]`` holds the substituted endpoint coordinates
-    (NaN for kept edges; ``boundary_point`` is None on a plain graph).
-    ``length[i, j]`` is the Euclidean edge length after any substitution.
+    redirected to the cube boundary (boundary graphs only). ``length[i, j]``
+    is the Euclidean edge length after any redirection, the vertex's
+    boundary distance for a redirected edge.
     """
 
     point_set: PointSet
     spec: NeighborSpec
     neighbor_index: np.ndarray
     length: np.ndarray
-    boundary_point: np.ndarray | None = None
-
-    @property
-    def n_vertices(self) -> int:
-        return self.point_set.n
 
     @property
     def n_edges(self) -> int:
@@ -55,7 +50,7 @@ class NNGraph:
     def in_degrees(self) -> np.ndarray:
         """Number of incoming point-to-point edges per vertex."""
         targets = self.neighbor_index[self.neighbor_index >= 0]
-        return np.bincount(targets, minlength=self.n_vertices)
+        return np.bincount(targets, minlength=self.point_set.n)
 
 
 def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
@@ -79,11 +74,13 @@ def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
 def build_boundary_graph(points, spec, cube: Cube) -> NNGraph:
     """Build the boundary-rewired neighbor graph inside ``cube``.
 
-    Every edge ``(x, y)`` of the plain graph is kept when
-    ``||x - y|| <= ||x - b||`` for ``b`` the nearest boundary point of
-    ``x``, and replaced by ``(x, b)`` otherwise. Ranks that do not exist
-    because the sample is smaller than ``max(spec) + 1`` point to the
-    boundary directly, so the graph is defined for any nonempty sample.
+    Every edge ``(x, y)`` of the plain graph is kept when ``||x - y||``
+    is at most the distance from ``x`` to the cube's boundary, and is
+    redirected to the boundary (index -1, that distance as its length)
+    otherwise. Ranks that do not exist because the sample is smaller than
+    ``max(spec) + 1`` point to the boundary directly, so the graph is
+    defined for any nonempty sample. Only edge lengths enter ``L_p``, so
+    the graph keeps no boundary endpoints.
 
     Raises
     ------
@@ -96,8 +93,7 @@ def build_boundary_graph(points, spec, cube: Cube) -> NNGraph:
         raise ValueError("cube must be a Cube")
     if cube.d != ps.d:
         raise ValueError(f"cube dimension {cube.d} != sample dimension {ps.d}")
-    X = ps.points
-    b, r = cube.nearest_boundary(X)
+    r = cube.boundary_distance(ps.points)
 
     n = ps.n
     ncols = len(spec)
@@ -113,10 +109,7 @@ def build_boundary_graph(points, spec, cube: Cube) -> NNGraph:
                 keep = cand_len <= r
                 neighbor_index[keep, j] = all_idx[keep, rank - 1]
                 length[keep, j] = cand_len[keep]
-
-    redirected = neighbor_index < 0
-    boundary_point = np.where(redirected[:, :, None], b[:, None, :], np.nan)
-    return NNGraph(ps, spec, neighbor_index, length, boundary_point=boundary_point)
+    return NNGraph(ps, spec, neighbor_index, length)
 
 
 def l_p(graph: NNGraph, p: float) -> float:

@@ -26,11 +26,6 @@ __all__ = [
     "Cube",
     "as_point_set",
     "as_neighbor_spec",
-    "check_integer",
-    "check_workers",
-    "check_alpha",
-    "check_power",
-    "check_real",
 ]
 
 
@@ -190,7 +185,11 @@ def as_neighbor_spec(obj) -> NeighborSpec:
 
 @dataclass(frozen=True)
 class Cube:
-    """The axis-aligned cube ``[lower, lower + side]^d``."""
+    """The axis-aligned cube ``[lower, lower + side]^d``.
+
+    The boundary graph asks it one thing: each point's distance to the
+    boundary (:meth:`boundary_distance`).
+    """
 
     lower: np.ndarray
     side: float
@@ -216,15 +215,8 @@ class Cube:
     def upper(self) -> np.ndarray:
         return self.lower + self.side
 
-    def nearest_boundary(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest boundary point and boundary distance for each point.
-
-        For a point in the closed cube the nearest boundary point is its
-        projection onto the closest face. Ties across axes go to the lowest
-        axis; a tie between the two faces of that axis goes to the lower
-        face. Returns ``(b, r)`` with ``b`` of shape ``(n, d)`` and ``r`` of
-        shape ``(n,)`` where ``r[i] = ||x_i - b_i||`` is the distance to the
-        boundary.
+    def boundary_distance(self, points) -> np.ndarray:
+        """Distance from each point to the cube's boundary, shape ``(n,)``.
 
         Raises
         ------
@@ -239,11 +231,4 @@ class Cube:
         if (d_lo < 0).any() or (d_hi < 0).any():
             bad = int(np.nonzero((d_lo < 0).any(axis=1) | (d_hi < 0).any(axis=1))[0][0])
             raise OutsideCubeError(f"point {bad} lies outside the cube")
-        face = np.minimum(d_lo, d_hi)
-        rows = np.arange(x.shape[0])
-        axis = np.argmin(face, axis=1)  # argmin takes the lowest axis on ties
-        r = face[rows, axis]
-        b = x.copy()
-        use_low = d_lo[rows, axis] <= d_hi[rows, axis]
-        b[rows, axis] = np.where(use_low, self.lower[axis], self.upper[axis])
-        return b, r
+        return np.minimum(d_lo, d_hi).min(axis=1)

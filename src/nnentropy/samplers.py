@@ -22,9 +22,7 @@ __all__ = [
     "Gaussian",
     "Wireframe3D",
     "Product",
-    "DistributionSpec",
     "WIREFRAME_SHAPES",
-    "spec_dim",
     "sample",
     "spec_to_json",
     "spec_from_json",

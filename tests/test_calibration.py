@@ -154,14 +154,15 @@ class TestGammaCache:
         second, hit2 = cache.get_or_compute(FAST_KEY, seed=99)
         assert (hit1, hit2) == (False, True)
         assert second == first  # the stored record wins, seed ignored on hits
-        assert len(cache.records()) == 1
+        assert len(cache.path.read_text().splitlines()) == 1
 
     def test_different_key_appends(self, tmp_path):
         cache = GammaCache(tmp_path / "g.jsonl")
         cache.get_or_compute(FAST_KEY)
         other = GammaKey(d=2, p=1.0, spec=(1,), n_cal=5000, reps=3)
         cache.get_or_compute(other)
-        assert len(cache.records()) == 2
+        assert len(cache.path.read_text().splitlines()) == 2
+        assert cache.lookup(other).key == other
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         cache = GammaCache(tmp_path / "g.jsonl")
@@ -180,7 +181,7 @@ class TestGammaCache:
         path = tmp_path / "g.jsonl"
         path.write_text("not json\n")
         with pytest.raises(GammaCacheError, match="line 1: invalid JSON"):
-            GammaCache(path).records()
+            GammaCache(path).lookup(FAST_KEY)
 
     def test_nonpositive_mean_rejected(self, tmp_path):
         path = tmp_path / "g.jsonl"
@@ -188,7 +189,7 @@ class TestGammaCache:
         rec["mean"] = 0.0
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(GammaCacheError, match="invalid gamma record"):
-            GammaCache(path).records()
+            GammaCache(path).lookup(FAST_KEY)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "g.jsonl"
@@ -196,7 +197,7 @@ class TestGammaCache:
         del rec["std_error"]
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(GammaCacheError, match="missing fields"):
-            GammaCache(path).records()
+            GammaCache(path).lookup(FAST_KEY)
 
     def test_unsorted_ranks_rejected(self, tmp_path):
         path = tmp_path / "g.jsonl"
@@ -204,7 +205,7 @@ class TestGammaCache:
         rec["S"] = [2, 1]
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(GammaCacheError, match="sorted array"):
-            GammaCache(path).records()
+            GammaCache(path).lookup(FAST_KEY)
 
     @pytest.mark.parametrize(
         "changes",

@@ -204,6 +204,12 @@ class TestMi:
         assert report["value"] > 1.0
         assert report["warnings"]  # dependence is perfect but d=2 is outside the guarantee
 
+    def test_single_column_is_usage_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "one.csv", np.random.default_rng(9).random((50, 1)))
+        code, out, err = run_cli(["mi", path, "--alpha", "0.7", "--gamma", "analytic"], capsys)
+        assert (code, out) == (2, "")
+        assert "d >= 2" in err
+
 
 ROWS = ["0.11,0.52", "0.23,0.91", "0.37,0.18", "0.45,0.66",
         "0.58,0.34", "0.62,0.07", "0.79,0.83", "0.94,0.29"]
@@ -407,6 +413,18 @@ class TestRateExperiment:
         )
         assert code == 3
         assert field in err
+        assert not out_csv.exists()
+
+    def test_one_dimensional_distribution_is_data_error(self, tmp_path, capsys):
+        distribution = {"kind": "uniform_cube", "d": 1}
+        config = tmp_path / "rate.json"
+        config.write_text(json.dumps({**self.CONFIG, "distribution": distribution}), encoding="utf-8")
+        out_csv = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv)], capsys
+        )
+        assert code == 3
+        assert "d >= 2" in err
         assert not out_csv.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):

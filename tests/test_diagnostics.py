@@ -81,7 +81,7 @@ class TestGrowthIndegree:
         assert report.max_indegree <= 2
 
     def test_plane_indegree_within_surveyed_bound(self):
-        report = check_growth_and_indegree(100, 2, (1,), 1.0, n=500, seed=0)
+        report = check_growth_and_indegree(100, 2, (1,), 1.0, n=(500,), seed=0)
         assert report.max_indegree <= 6
         assert report.passed
 
@@ -91,17 +91,15 @@ class TestGrowthIndegree:
         assert len(report.growth_ratios) == 3
         assert report.passed
 
-    def test_unsurveyed_dimension_needs_explicit_constant(self):
-        with pytest.raises(ValueError, match="no surveyed in-degree constant"):
-            check_growth_and_indegree(2, 4, (1,), 1.0, n=64)
-        report = check_growth_and_indegree(2, 4, (1,), 1.0, n=64, indegree_c=12.0)
-        assert report.indegree_bound == 12.0
+    def test_unsurveyed_dimension_raises(self):
+        with pytest.raises(ValueError, match="no surveyed in-degree constant for d=4"):
+            check_growth_and_indegree(2, 4, (1,), 1.0, n=(64,))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="trials"):
-            check_growth_and_indegree(0, 2, (1,), 1.0, n=64)
+            check_growth_and_indegree(0, 2, (1,), 1.0, n=(64,))
         with pytest.raises(ValueError, match="p must"):
-            check_growth_and_indegree(2, 2, (1,), 2.5, n=64)
+            check_growth_and_indegree(2, 2, (1,), 2.5, n=(64,))
 
 
 class TestSmoothness:
@@ -150,15 +148,13 @@ class TestSubadditivity:
 
 class TestAddOne:
     def test_trend_within_bound(self):
-        report = check_add_one(2, (1,), 0.9, 128, seeds=50, seed=0)
+        report = check_add_one(2, (1,), 0.9, 128, seed=0)
         assert report.normalized_gap <= report.bound
         assert report.passed
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="n must exceed"):
             check_add_one(2, (1, 2, 3), 1.0, 3)
-        with pytest.raises(ValueError, match="seeds"):
-            check_add_one(2, (1,), 1.0, 64, seeds=0)
 
 
 class TestPerturbation:

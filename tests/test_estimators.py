@@ -15,6 +15,8 @@ from nnentropy import (
     HistogramInfeasibleError,
     InsufficientPointsError,
     NeighborSpec,
+    RateExperimentConfig,
+    UniformCube,
     empirical_copula,
     estimate_gamma,
     gamma_analytic,
@@ -237,6 +239,20 @@ class TestRenyiMI:
         X = np.column_stack([x, x, rng.random(800)])
         report = renyi_mi(X, fast_settings(0.7))
         assert report.value > 1.0
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda X: renyi_mi(X, EstimatorSettings(alpha=0.7, gamma="analytic")),
+            lambda X: histogram_mi(X, 0.7),
+            lambda X: RateExperimentConfig(UniformCube(1), 0.0),
+        ],
+        ids=["renyi_mi", "histogram_mi", "rate-config"],
+    )
+    def test_single_coordinate_is_rejected(self, estimate):
+        """MI needs two coordinates; one column used to give a nonzero constant."""
+        with pytest.raises(ValueError, match="d >= 2"):
+            estimate(np.random.default_rng(9).random((50, 1)))
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(8)

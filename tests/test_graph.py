@@ -53,7 +53,6 @@ class TestBuildNNGraph:
         assert g.spec.indices == (1,)
         assert g.neighbor_index.tolist() == [[1], [0], [1]]
         assert g.length.tolist() == [[1.0], [1.0], [2.0]]
-        assert g.boundary_point is None
 
 
 class TestLP:
@@ -116,7 +115,6 @@ class TestBoundaryGraph:
         g = build_boundary_graph(X, NeighborSpec((1,)), Cube.unit(2))
         assert g.neighbor_index[0, 0] == -1
         assert g.length[0, 0] == pytest.approx(0.01)
-        assert np.allclose(g.boundary_point[0, 0], [0.0, 0.5])
         # the second point keeps its graph neighbor: 0.5 to the point,
         # 0.49 to the boundary... the boundary is closer, so it reroutes too
         assert g.neighbor_index[1, 0] == -1
@@ -126,7 +124,6 @@ class TestBoundaryGraph:
         g = build_boundary_graph([[0.3, 0.5]], NeighborSpec((1, 2)), Cube.unit(2))
         assert (g.neighbor_index == -1).all()
         assert np.allclose(g.length, 0.3)
-        assert np.array_equal(g.boundary_point, [[[0.0, 0.5], [0.0, 0.5]]])
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_never_exceeds_plain_length(self, p):

@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from nnentropy import GammaCache, IsaExperimentConfig, RateExperimentConfig
+from nnentropy import GammaCache, GammaKey, IsaExperimentConfig, RateExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,8 +19,9 @@ def test_readme_json_examples_parse(tmp_path):
 
     cache = GammaCache(tmp_path / "gamma.jsonl")
     cache.path.write_text(record, encoding="utf-8")
-    (estimate,) = cache.records()
-    assert (estimate.key.d, list(estimate.key.spec)) == (3, [1, 2, 3])
+    # The key `calibrate --d 3 --alpha 0.7 --S 1,2,3` looks up.
+    key = GammaKey(d=3, p=3 * (1.0 - 0.7), spec=(1, 2, 3))
+    assert cache.lookup(key).key == key
 
     # The README calls every value but the distribution a default.
     rate = json.loads(rate)
