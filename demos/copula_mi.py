@@ -24,7 +24,7 @@ N = 4000
 
 
 def main() -> None:
-    settings = EstimatorSettings(alpha=ALPHA, n_cal=20_000, reps=3)
+    settings = EstimatorSettings(alpha=ALPHA)
 
     cov = np.full((3, 3), 0.5)
     np.fill_diagonal(cov, 1.0)

@@ -2,14 +2,14 @@
 
 The estimator builds a nearest-neighbor graph over the sample, sums the
 edge lengths raised to a power tied to the entropy order, and normalizes
-by a calibrated constant. Two sanity targets with known entropy:
+by a closed-form constant. Two sanity targets with known entropy:
 
 * the uniform law on [0, side]^d has H_alpha = d * log(side);
 * a Gaussian has a closed form in its covariance determinant.
 
 The demo also shows the scale law H(c X) = H(X) + d log c, which the
-estimator inherits from the graph geometry (exactly, once the
-normalizing constant is fixed).
+estimator inherits from the graph geometry (exactly, since the entropy
+constant depends on (d, p, S) only).
 """
 
 import numpy as np
@@ -21,18 +21,16 @@ from nnentropy import (
     UniformCube,
     gaussian_renyi_entropy,
     renyi_entropy,
-    resolve_settings,
     sample,
     uniform_entropy,
 )
 
 ALPHA = 0.7
 N = 4000
-FAST_CALIBRATION = dict(n_cal=20_000, reps=3)
 
 
 def main() -> None:
-    settings = EstimatorSettings(alpha=ALPHA, **FAST_CALIBRATION)
+    settings = EstimatorSettings(alpha=ALPHA)
 
     print(f"Renyi entropy, order alpha = {ALPHA}, n = {N} samples per estimate\n")
     print(f"{'distribution':<28} {'estimate':>10} {'truth':>10}")
@@ -45,12 +43,11 @@ def main() -> None:
         report = renyi_entropy(sample(spec, N, seed=0), settings)
         print(f"{label:<28} {report.value:>10.4f} {truth:>10.4f}")
 
-    # The scale law is exact once gamma is frozen: estimate the same cloud
-    # at two scales and compare the gap with d * log(c).
-    frozen = resolve_settings(settings, 3)
+    # The scale law is exact: estimate the same cloud at two scales and
+    # compare the gap with d * log(c).
     pts = np.random.default_rng(1).random((N, 3))
-    h1 = renyi_entropy(PointSet(pts), frozen).value
-    h3 = renyi_entropy(PointSet(3.0 * pts), frozen).value
+    h1 = renyi_entropy(PointSet(pts), settings).value
+    h3 = renyi_entropy(PointSet(3.0 * pts), settings).value
     print(f"\nscale law: H(3X) - H(X) = {h3 - h1:.12f}, d*log(3) = {3 * np.log(3.0):.12f}")
 
 

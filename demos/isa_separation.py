@@ -25,8 +25,6 @@ CONFIG = IsaExperimentConfig(
     subspace_dim=2,
     n=2000,
     alpha=0.99,
-    n_cal=20_000,
-    reps=3,
 )
 
 

@@ -19,8 +19,6 @@ CONFIG = RateExperimentConfig.from_dict({
     "n_grid": [256, 512, 1024, 2048],
     "runs": 10,
     "alpha": 0.7,
-    "n_cal": 20_000,
-    "reps": 3,
 })
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands cover the whole workflow: ``calibrate`` manages the
-normalizing constant, ``entropy`` and ``mi`` estimate from CSV samples,
+Subcommands cover the whole workflow: ``calibrate`` estimates the
+normalizing constant by Monte Carlo (the estimators use its closed form),
+``entropy`` and ``mi`` estimate from CSV samples,
 ``rate-experiment`` and ``isa`` drive the two studies, and ``diagnostics``
 runs the structural checks. Results are printed as JSON (carrying the tool
 version and the effective settings); experiment tables are written as
@@ -15,7 +16,7 @@ cell in the first row).
 
 Exit codes: 0 success; 2 usage error (bad flags or parameter ranges);
 3 data error (unreadable input, malformed config or cache, a file that
-cannot be read or written, such as a directory given as the cache);
+cannot be read or written, such as a directory given as calibrate's cache);
 4 numerical error (degenerate sample, infeasible histogram).
 """
 
@@ -212,7 +213,6 @@ def cmd_estimate(args) -> None:
         alpha=args.alpha,
         spec=args.S,
         gamma=args.gamma,
-        cache=args.cache,
         workers=args.threads,
     )
     points = PointSet(_read_csv(args.input))
@@ -223,7 +223,7 @@ def cmd_estimate(args) -> None:
 
 def cmd_rate_experiment(args) -> None:
     config = RateExperimentConfig.from_dict(_load_json(args.config, "rate config"))
-    result = run_rate_experiment(config, seed=args.seed, cache=args.cache, workers=args.threads)
+    result = run_rate_experiment(config, seed=args.seed, workers=args.threads)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result.write_csv(args.out)
     _emit({"tool_version": __version__, "seed": args.seed, "out": str(args.out), **result.summary()})
@@ -234,7 +234,7 @@ def cmd_isa(args) -> None:
         config = PAPER_SCALE_ISA
     else:
         config = IsaExperimentConfig.from_dict(_load_json(args.config, "ISA config"))
-    result = run_isa_experiment(config, seed=args.seed, cache=args.cache, workers=args.threads)
+    result = run_isa_experiment(config, seed=args.seed, workers=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.write_block_norms_csv(out_dir / "block_norms.csv")
@@ -257,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker cap for neighbor queries (-1: all cores)",
     )
     common.add_argument("--cache", type=GammaCache,
-                        help="gamma cache file (JSON Lines), read and extended when gamma is calibrated")
+                        help="gamma cache file (JSON Lines) that calibrate reads and extends; "
+                             "the other commands accept it and use no cache")
 
     parser = argparse.ArgumentParser(
         prog="nnentropy",
@@ -292,7 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
         est.add_argument("--S", type=_parse_ranks, default=NeighborSpec((1, 2, 3)),
                          help="neighbor ranks, e.g. 1,2,3 (default)")
         est.add_argument("--gamma", type=_parse_gamma, default=None,
-                         help='normalizing constant: a number or "analytic" (closed form)')
+                         help='normalizing constant: a number, or "analytic" for the limit '
+                              "constant (default: the limit, times the unit cube's boundary "
+                              "factor for mi)")
         est.set_defaults(func=cmd_estimate)
 
     rate = sub.add_parser(

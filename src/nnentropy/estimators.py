@@ -7,14 +7,18 @@ logarithm:
     H_hat = log( L_p / (gamma * n^(1-p/d)) ) / (1 - alpha),   p = d(1-alpha).
 
 Mutual information is estimated as minus the entropy of the empirical
-copula of the sample. A histogram plug-in estimator is included as the
-comparison baseline for rate experiments.
+copula of the sample. By default ``gamma`` is closed-form: the limit constant
+for entropy, and for the copula, which lies in the unit cube, the limit
+times the cube's boundary factor at the sample's own size. A histogram
+plug-in estimator is included as the comparison baseline for rate
+experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -23,10 +27,13 @@ from .calibration import (
     DEFAULT_N_CAL,
     DEFAULT_REPS,
     GammaCache,
-    GammaKey,
-    estimate_gamma,
+    boundary_coefficient,
     gamma_analytic,
 )
+
+# Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
+# attribute of the module, so it stays until the tracer goes (ROADMAP item 6).
+from .calibration import estimate_gamma  # noqa: F401
 from .errors import DegenerateSampleError, HistogramInfeasibleError
 from .graph import NNGraph, build_nn_graph, l_p
 from .points import (
@@ -47,7 +54,6 @@ __all__ = [
     "renyi_entropy",
     "empirical_copula",
     "renyi_mi",
-    "resolve_settings",
     "histogram_entropy",
     "histogram_mi",
 ]
@@ -77,18 +83,21 @@ class EstimatorSettings:
         Neighbor ranks of the graph; defaults to {1, 2, 3}.
     gamma : float, "analytic", or None
         How to obtain the normalizing constant. An explicit value (a
-        positive finite real, not a bool) is used as given;
-        ``"analytic"`` uses the closed form, the sum of
-        :func:`gamma_analytic` over the ranks in ``spec``;
-        ``None`` calibrates through ``cache`` when set, or on the fly
-        otherwise.
-    cache : GammaCache or None
-        Persistent calibration cache consulted when ``gamma`` is None; a
-        path is not accepted, wrap it in :class:`GammaCache`.
-    n_cal, reps
-        Monte-Carlo calibration size used on cache misses and on-the-fly
-        calibration, which always runs at seed 0: integers (not bools or
-        floats) with ``n_cal > max(spec)`` and ``reps >= 1``.
+        positive finite real, not a bool) is used as given (source
+        ``"given"``). ``"analytic"`` uses the limit constant, the sum of
+        :func:`gamma_analytic` over the ranks in ``spec`` (source
+        ``"analytic"``). ``None``, the default, uses the limit constant for
+        entropy (source ``"analytic"``); for mutual information it uses the
+        limit times ``1 + b_S n^(-1/d)``, the unit cube's boundary factor at
+        the sample's size ``n`` (source ``"boundary"``; see
+        :func:`boundary_coefficient`), because the empirical copula lies in
+        the unit cube.
+    cache, n_cal, reps
+        Accepted and checked, but no estimate reads them: the constant is
+        closed-form. ``cache`` must be a :class:`GammaCache` or None,
+        ``n_cal`` and ``reps`` integers (not bools or floats) with
+        ``n_cal > max(spec)`` and ``reps >= 1``. They are the Monte-Carlo
+        calibration's settings and are due to go with it.
     workers : int
         Cap on the worker threads of neighbor queries: -1 uses all cores,
         otherwise an integer >= 1 (not a bool or a float). Small queries
@@ -156,38 +165,28 @@ class EstimateReport:
         }
 
 
-def _resolve_gamma(settings: EstimatorSettings, d: int, p: float):
-    """Resolve the normalizing constant per the documented precedence.
+@lru_cache(maxsize=256)
+def _closed_form(d: int, p: float, spec: NeighborSpec) -> tuple[float, float]:
+    """The limit constant of ``spec`` and its unit-cube boundary coefficient ``b_S``."""
+    terms = [gamma_analytic(d, p, k) for k in spec]
+    weighted = math.fsum(g * boundary_coefficient(d, p, k) for g, k in zip(terms, spec))
+    limit = math.fsum(terms)
+    return limit, weighted / limit
 
-    Explicit values win over the cache, which wins over on-the-fly
-    calibration. Returns ``(gamma, source, std_error)``.
+
+def _resolve_gamma(settings: EstimatorSettings, d: int, p: float, copula_n: int | None):
+    """The normalizing constant and its source, as :class:`EstimatorSettings` documents.
+
+    ``copula_n`` is the size of the empirical copula an MI estimate is taken
+    on, and None for an entropy estimate.
     """
     g = settings.gamma
     if isinstance(g, Real):
-        return float(g), "given", None
-    if g == "analytic":
-        return math.fsum(gamma_analytic(d, p, k) for k in settings.spec), "analytic", None
-    key = GammaKey(d=d, p=p, spec=settings.spec, n_cal=settings.n_cal, reps=settings.reps)
-    if settings.cache is not None:
-        est, was_hit = settings.cache.get_or_compute(key, workers=settings.workers)
-        return est.mean, ("cache" if was_hit else "calibrated"), est.std_error
-    est = estimate_gamma(key, workers=settings.workers)
-    return est.mean, "calibrated", est.std_error
-
-
-def resolve_settings(settings: EstimatorSettings, d: int) -> EstimatorSettings:
-    """Freeze the normalizing constant for dimension ``d`` into the settings.
-
-    Batch drivers that evaluate many estimates at the same dimension call
-    this once so every estimate shares one constant and calibration never
-    reruns mid-experiment. Settings that already carry a number are
-    returned unchanged.
-    """
-    if isinstance(settings.gamma, Real):
-        return settings
-    d = check_integer(d, "d")
-    gamma, _, _ = _resolve_gamma(settings, d, settings.p(d))
-    return replace(settings, gamma=gamma)
+        return float(g), "given"
+    limit, b = _closed_form(d, p, settings.spec)
+    if g == "analytic" or copula_n is None:
+        return limit, "analytic"
+    return limit * (1.0 + b * copula_n ** (-1.0 / d)), "boundary"
 
 
 def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
@@ -208,18 +207,33 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
     return _graph_entropy(build_nn_graph(ps, settings.spec, workers=settings.workers), settings)
 
 
-def _graph_entropy(graph: NNGraph, settings: EstimatorSettings) -> EstimateReport:
+def _copula_entropy(copula, settings: EstimatorSettings) -> EstimateReport:
+    """Entropy estimate of an empirical copula, minus the MI of its sample.
+
+    :func:`renyi_mi` and the ISA's block scores go through here, so both
+    resolve the constant as an MI estimate does.
+    """
+    ps = as_point_set(copula)
+    graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
+    return _graph_entropy(graph, settings, copula=True)
+
+
+def _graph_entropy(
+    graph: NNGraph, settings: EstimatorSettings, copula: bool = False
+) -> EstimateReport:
     """Entropy estimate of ``graph.point_set`` from its graph for ``settings.spec``.
 
     :func:`renyi_entropy` builds the graph itself; the rate study passes rank
-    columns of one neighbor table that several estimators share.
+    columns of one neighbor table that several estimators share. ``copula``
+    marks the point set as an empirical copula, whose default constant
+    carries the unit cube's boundary factor.
     """
     ps = graph.point_set
     p = settings.p(ps.d)
     total = l_p(graph, p)
     if total <= 0.0:
         raise DegenerateSampleError("degenerate sample: total edge length is zero")
-    gamma, source, gamma_se = _resolve_gamma(settings, ps.d, p)
+    gamma, source = _resolve_gamma(settings, ps.d, p, ps.n if copula else None)
     value = math.log(total / (gamma * ps.n ** (1.0 - p / ps.d))) / (1.0 - settings.alpha)
     return EstimateReport(
         value=value,
@@ -231,7 +245,7 @@ def _graph_entropy(graph: NNGraph, settings: EstimatorSettings) -> EstimateRepor
         spec=settings.spec.indices,
         gamma=gamma,
         gamma_source=source,
-        gamma_std_error=gamma_se,
+        gamma_std_error=None,
     )
 
 
@@ -266,10 +280,12 @@ def _mi_sample(points) -> PointSet:
 def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
     """Mutual information among the ``d >= 2`` coordinates of a sample.
 
-    Computed as minus the entropy estimate of the empirical copula. The
-    consistency guarantee covers ``d >= 3`` and ``alpha`` in (1/2, 1);
-    outside that range the estimate is still computed but the report
-    carries a warning. A single coordinate raises ``ValueError``.
+    Computed as minus the entropy estimate of the empirical copula, whose
+    default constant carries the unit cube's boundary factor at the
+    sample's size (see :class:`EstimatorSettings`). The consistency
+    guarantee covers ``d >= 3`` and ``alpha`` in (1/2, 1); outside that
+    range the estimate is still computed but the report carries a warning.
+    A single coordinate raises ``ValueError``.
     """
     ps = _mi_sample(points)
     warnings = []
@@ -277,7 +293,7 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
         warnings.append(_MI_DIMENSION_WARNING)
     if not (0.5 < settings.alpha < 1.0):
         warnings.append(_MI_ALPHA_WARNING)
-    ent = renyi_entropy(empirical_copula(ps), settings)
+    ent = _copula_entropy(empirical_copula(ps), settings)
     return replace(ent, value=-ent.value, kind="mutual_information", warnings=tuple(warnings))
 
 

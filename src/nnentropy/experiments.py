@@ -21,16 +21,10 @@ import numpy as np
 
 from .calibration import DEFAULT_N_CAL, DEFAULT_REPS
 from .errors import DataFormatError, HistogramInfeasibleError
-from .estimators import (
-    EstimatorSettings,
-    _graph_entropy,
-    empirical_copula,
-    histogram_entropy,
-    resolve_settings,
-)
+from .estimators import EstimatorSettings, _graph_entropy, empirical_copula, histogram_entropy
 
 # Unused here: the benchmark's tracer (perfbench/spans.py) wraps these
-# attributes of this module, so they stay until it goes (ROADMAP item 5).
+# attributes of this module, so they stay until it goes (ROADMAP item 6).
 from .estimators import histogram_mi, renyi_mi  # noqa: F401
 from .graph import NNGraph, build_nn_graph
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
@@ -127,7 +121,8 @@ class RateExperimentConfig:
     distribution must have at least two coordinates, the sizes, ``runs``,
     ``n_cal`` and ``reps`` must be integers (not bools or floats), every
     size and ``n_cal`` larger than the largest rank, ``alpha`` a real in
-    (0, 1) and ``histogram`` a bool.
+    (0, 1) and ``histogram`` a bool. ``n_cal`` and ``reps`` are echoed in
+    :meth:`to_dict` but affect no estimate: the constant is closed-form.
     """
 
     distribution: DistributionSpec
@@ -289,8 +284,9 @@ def run_rate_experiment(
     to the largest rank any estimator uses; each estimator reads its rank
     columns of that neighbor table and the histogram reads the same copula,
     so the rows equal what :func:`renyi_mi` and :func:`histogram_mi` give
-    on the sample, bitwise. Calibration happens once per estimator before
-    the sweep (through ``cache`` when given). Where the histogram baseline
+    on the sample, bitwise, including the normalizing constant, which each
+    estimate resolves at its own sample size. ``cache`` is accepted and
+    ignored, since no constant is calibrated. Where the histogram baseline
     is infeasible, its rows are replaced by a single note row per size.
     The theoretical reference decays from the anchor (the "knn" — else
     first — estimator's mean error at the smallest size) with the rate
@@ -298,18 +294,14 @@ def run_rate_experiment(
     where no rate guarantee exists.
     """
     d = spec_dim(config.distribution)
-    resolved = []
-    for label, ranks in config.estimators:
-        settings = EstimatorSettings(
-            alpha=config.alpha,
-            spec=ranks,
-            cache=cache,
-            n_cal=config.n_cal,
-            reps=config.reps,
-            workers=workers,
+    resolved = [
+        (
+            label,
+            EstimatorSettings(alpha=config.alpha, spec=ranks, workers=workers),
+            np.asarray(ranks.indices, dtype=np.intp) - 1,
         )
-        cols = np.asarray(ranks.indices, dtype=np.intp) - 1
-        resolved.append((label, resolve_settings(settings, d), cols))
+        for label, ranks in config.estimators
+    ]
     k = max(ranks.k for _, ranks in config.estimators)
     table_spec = NeighborSpec(tuple(range(1, k + 1)))
 
@@ -325,7 +317,7 @@ def run_rate_experiment(
                 graph = NNGraph(
                     copula, settings.spec, table.neighbor_index[:, cols], table.length[:, cols]
                 )
-                value = -_graph_entropy(graph, settings).value
+                value = -_graph_entropy(graph, settings, copula=True).value
                 rows.append(RateRow(n, run, label, abs(value - config.truth)))
             if config.histogram and not hist_infeasible:
                 try:
@@ -361,6 +353,8 @@ class IsaExperimentConfig:
     to a higher dimension (random mixing only). Every field is checked on
     construction: ``subspace_dim``, ``n``, ``q``, ``n_cal`` and ``reps``
     must be integers (not bools or floats) and ``alpha`` a real in (0, 1).
+    ``n_cal`` and ``reps`` are echoed in :meth:`to_dict` but affect no
+    estimate: the constant is closed-form.
     """
 
     shapes: tuple[str, ...]
@@ -477,7 +471,10 @@ class IsaExperimentResult:
 def run_isa_experiment(
     config: IsaExperimentConfig, seed=0, cache=None, workers: int = -1
 ) -> IsaExperimentResult:
-    """Sample sources, mix, separate, and score; deterministic given ``seed``."""
+    """Sample sources, mix, separate, and score; deterministic given ``seed``.
+
+    ``cache`` is accepted and ignored, since no constant is calibrated.
+    """
     d, m = config.subspace_dim, len(config.shapes)
     axes = (0, 1) if d == 2 else (0, 1, 2)
     sources = Product(tuple(Wireframe3D(shape, axes=axes) for shape in config.shapes))
@@ -491,14 +488,7 @@ def run_isa_experiment(
     problem = IsaProblem(
         mix(src, mixing), subspace_dim=d, num_sources=m, true_mixing=mixing
     )
-    settings = EstimatorSettings(
-        alpha=config.alpha,
-        spec=config.spec,
-        cache=cache,
-        n_cal=config.n_cal,
-        reps=config.reps,
-        workers=workers,
-    )
+    settings = EstimatorSettings(alpha=config.alpha, spec=config.spec, workers=workers)
     solution = run_isa(problem, settings, seed=int(pipe_ss.generate_state(1)[0]))
     norms = block_norm_matrix(solution.separation @ mixing, d, m)
     return IsaExperimentResult(config=config, solution=solution, block_norms=norms)

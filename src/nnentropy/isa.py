@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError
-from .estimators import EstimatorSettings, empirical_copula, renyi_entropy, resolve_settings
+from .estimators import EstimatorSettings, _copula_entropy, empirical_copula
 
 # Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
-# attribute of the module, so it stays until the tracer goes (ROADMAP item 5).
+# attribute of the module, so it stays until the tracer goes (ROADMAP item 6).
 from .estimators import renyi_mi  # noqa: F401
 from .points import PointSet, as_point_set, check_integer
 
@@ -187,12 +187,11 @@ def pairwise_mi_matrix(ics, settings: EstimatorSettings) -> np.ndarray:
     columns of that copula (see :func:`_copula_mi`).
     """
     copula = empirical_copula(ics).points
-    pair_settings = resolve_settings(settings, 2)
     q = copula.shape[1]
     matrix = np.zeros((q, q))
     for i in range(q):
         for j in range(i + 1, q):
-            matrix[i, j] = matrix[j, i] = _copula_mi(copula, [i, j], pair_settings)
+            matrix[i, j] = matrix[j, i] = _copula_mi(copula, [i, j], settings)
     return matrix
 
 
@@ -203,7 +202,7 @@ def _copula_mi(copula: np.ndarray, cols, settings: EstimatorSettings) -> float:
     copula of that column slice, and the value equals ``renyi_mi`` on the
     raw columns bitwise.
     """
-    return -renyi_entropy(copula[:, cols], settings).value
+    return -_copula_entropy(copula[:, cols], settings).value
 
 
 def _greedy_blocks(matrix: np.ndarray, d: int, m: int) -> list[list[int]]:
@@ -242,9 +241,8 @@ def group_components(
     The search is deterministic. The components are ranked once for the
     pairs and once for the blocks, and each pair and block gets one neighbor
     search, on its columns of that copula; the values equal
-    :func:`renyi_mi` on the raw columns, bitwise. A normalizing constant
-    that has to be estimated on the fly is calibrated once for the pairs
-    and once for the blocks, then shared by every evaluation.
+    :func:`renyi_mi` on the raw columns, bitwise, so the normalizing
+    constant is the same for every pair and for every block.
     """
     ps = as_point_set(ics)
     d, m = check_integer(subspace_dim, "subspace_dim"), check_integer(num_sources, "num_sources")
@@ -252,7 +250,6 @@ def group_components(
         raise ValueError(
             f"{ps.d} components cannot be grouped into {m} blocks of {d}"
         )
-    block_settings = resolve_settings(settings, d)
     copula = empirical_copula(ps).points
 
     mi_cache: dict[frozenset, float] = {}
@@ -263,7 +260,7 @@ def group_components(
             if len(block) == 1:
                 mi_cache[key] = 0.0
             else:
-                mi_cache[key] = _copula_mi(copula, sorted(block), block_settings)
+                mi_cache[key] = _copula_mi(copula, sorted(block), settings)
         return mi_cache[key]
 
     if d == 1:
@@ -340,8 +337,7 @@ def run_isa(problem: IsaProblem, settings: EstimatorSettings, seed=0) -> IsaSolu
     score; the ICA stage's iteration count and convergence flag are
     carried on the solution, and non-convergence also surfaces in
     ``warnings``.
-    ``seed`` drives only the ICA initialization; on-the-fly calibration
-    always runs at seed 0.
+    ``seed`` drives only the ICA initialization.
     """
     d, m = problem.subspace_dim, problem.num_sources
     dm = d * m

@@ -1,7 +1,9 @@
-"""Monte-Carlo calibration of the graph constant and its disk cache."""
+"""The graph constant: its closed forms, its Monte Carlo and the disk cache."""
 
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,10 +14,13 @@ from nnentropy import (
     GammaCacheError,
     GammaEstimate,
     GammaKey,
+    boundary_coefficient,
     estimate_gamma,
     gamma_analytic,
 )
-from nnentropy.calibration import estimate_record
+from nnentropy.calibration import _boundary_integral, estimate_record
+
+from .oracles import boundary_coefficient_quad
 
 FAST_KEY = GammaKey(d=2, p=1.0, spec=(1,), n_cal=4000, reps=3)
 
@@ -145,6 +150,80 @@ class TestGammaAnalytic:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             gamma_analytic(**kwargs)
+
+
+def _cube_gamma(d, p, spec, n):
+    """``gamma_inf (1 + b_S n^(-1/d))`` from the package's closed forms."""
+    terms = [gamma_analytic(d, p, k) for k in spec]
+    b = math.fsum(g * boundary_coefficient(d, p, k) for g, k in zip(terms, spec)) / math.fsum(terms)
+    return math.fsum(terms) * (1.0 + b * n ** (-1.0 / d)), b
+
+
+class TestBoundaryCoefficient:
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.5, 0.99])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_d1_exact_form(self, p, k):
+        """In d = 1 the inner share of a ball is (1 + u) / 2, so J has an exact form."""
+        a = p + 1.0
+        j = 2.0 * (1.0 - 2.0 ** (a - 1.0)) / (1.0 - a) - 1.0
+        exact = 2.0 * p / a * 0.5 * math.exp(math.lgamma(k + a) - math.lgamma(k + p)) * j
+        assert boundary_coefficient(1, p, k) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("d, p, k", [(3, 0.9, 1), (2, 0.6, 2)])
+    def test_matches_double_integral_definition(self, d, p, k):
+        assert boundary_coefficient(d, p, k) == pytest.approx(
+            boundary_coefficient_quad(d, p, k), rel=1e-6
+        )
+
+    @pytest.mark.parametrize("d, p, b_s", [(3, 0.9, 0.366452), (2, 0.6, 0.303430)])
+    def test_pinned_rank_set_values(self, d, p, b_s):
+        assert _cube_gamma(d, p, (1, 2, 3), 1)[1] == pytest.approx(b_s, abs=1e-6)
+
+    def test_finite_positive_and_warning_free_across_the_grid(self):
+        """RuntimeWarnings are errors in this suite, so none is raised here."""
+        for d in range(1, 26):
+            for p in (0.02, 0.03, 0.3 * d, 0.99 * d):
+                for k in (1, 3):
+                    b = boundary_coefficient(d, p, k)
+                    assert math.isfinite(b) and b > 0.0, (d, p, k, b)
+
+    def test_memoized_and_deterministic_to_the_bit(self):
+        first = boundary_coefficient(4, 1.3, 2)
+        hits = _boundary_integral.cache_info().hits
+        assert boundary_coefficient(4, 1.3, 2) == first
+        assert _boundary_integral.cache_info().hits == hits + 1
+        _boundary_integral.cache_clear()
+        assert boundary_coefficient(4, 1.3, 2) == first
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d=0, p=0.5, k=1),
+            dict(d=2, p=2.0, k=1),
+            dict(d=2, p=0.0, k=1),
+            dict(d=2, p=1.0, k=0),
+        ],
+    )
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            boundary_coefficient(**kwargs)
+
+    def test_estimates_do_not_import_scipy_integrate(self):
+        """``scipy.integrate`` costs about 15 MB of RSS; the closed forms need none of it."""
+        code = (
+            "import sys, numpy as np, nnentropy\n"
+            "x = np.random.default_rng(0).random((200, 3))\n"
+            "nnentropy.renyi_mi(x, nnentropy.EstimatorSettings(alpha=0.7))\n"
+            "sys.exit('scipy.integrate' in sys.modules)\n"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    @pytest.mark.parametrize("d, p, n_cal", [(2, 0.6, 100_000), (3, 0.9, 200_000)])
+    def test_predicts_the_cube_monte_carlo(self, d, p, n_cal):
+        """The cube Monte Carlo at seed 0 is within 3 SE of the limit times its boundary factor."""
+        est = estimate_gamma(GammaKey(d=d, p=p, spec=(1, 2, 3), n_cal=n_cal, reps=10), seed=0)
+        predicted, _ = _cube_gamma(d, p, (1, 2, 3), n_cal)
+        assert abs(est.mean - predicted) <= 3.0 * est.std_error
 
 
 class TestGammaCache:

@@ -105,7 +105,7 @@ class TestEntropy:
         report = json.loads(out)
         assert abs(report["value"]) < 0.2
         assert report["n"] == 2000 and report["d"] == 3
-        assert report["gamma_source"] in ("cache", "calibrated")
+        assert (report["gamma_source"], report["gamma_std_error"]) == ("analytic", None)
         assert "tool_version" in report and report["input"] == uniform3_csv
 
     def test_deterministic_given_cache(self, uniform3_csv, cache_arg, capsys):
@@ -183,6 +183,7 @@ class TestMi:
         report = json.loads(out)
         assert abs(report["value"]) < 0.3
         assert report["warnings"] == []
+        assert (report["gamma_source"], report["gamma_std_error"]) == ("boundary", None)
 
     def test_low_dimension_warns(self, tmp_path, capsys):
         path = write_csv(tmp_path / "pair.csv", np.random.default_rng(7).random((400, 2)))

@@ -22,7 +22,6 @@ from nnentropy import (
     mi_rate_exponent,
     mi_truth,
     renyi_mi,
-    resolve_settings,
     run_isa_experiment,
     run_rate_experiment,
     sample,
@@ -224,13 +223,7 @@ class TestRunRateExperiment:
         )
         result = run_rate_experiment(config, seed=8, cache=gamma_cache)
         settings = {
-            label: resolve_settings(
-                EstimatorSettings(
-                    alpha=config.alpha, spec=spec, cache=gamma_cache,
-                    n_cal=config.n_cal, reps=config.reps,
-                ),
-                3,
-            )
+            label: EstimatorSettings(alpha=config.alpha, spec=spec)
             for label, spec in config.estimators
         }
         streams = np.random.SeedSequence(8).spawn(len(config.n_grid) * config.runs)

@@ -25,6 +25,7 @@ from nnentropy import (
     as_neighbor_spec,
     as_point_set,
     block_norm_matrix,
+    boundary_coefficient,
     check_add_one,
     check_boundary_and_superadditivity,
     check_growth_and_indegree,
@@ -40,7 +41,6 @@ from nnentropy import (
     knn_all,
     mi_rate_exponent,
     mi_truth,
-    resolve_settings,
     sample,
     uniform_entropy,
     whiten,
@@ -173,7 +173,8 @@ INTEGER_PARAMETERS = [
      lambda v: estimate_gamma(GammaKey(d=1, p=0.5, spec=(1,), n_cal=10, reps=1), seed=v)),
     ("EstimatorSettings", "n_cal", lambda v: EstimatorSettings(alpha=0.7, n_cal=v)),
     ("EstimatorSettings", "reps", lambda v: EstimatorSettings(alpha=0.7, reps=v)),
-    ("resolve_settings", "d", lambda v: resolve_settings(EstimatorSettings(alpha=0.7), v)),
+    ("boundary_coefficient", "d", lambda v: boundary_coefficient(v, 0.5, 1)),
+    ("boundary_coefficient", "k", lambda v: boundary_coefficient(2, 0.5, v)),
     ("uniform_entropy", "d", lambda v: uniform_entropy(v)),
     ("mi_rate_exponent", "d", lambda v: mi_rate_exponent(v, 0.5)),
     ("check_boundary_and_superadditivity", "partition granularity m",
