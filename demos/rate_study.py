@@ -5,7 +5,8 @@ sample grows? This runs a small version of the shipped experiment: a
 3-D Gaussian with known mutual information, two neighbor-graph estimators
 (the third neighbor alone, and ranks one to three), and the histogram
 plug-in baseline. The long-format table the driver writes is plot-ready;
-here we just print the mean absolute error per sample size.
+here we just print the mean absolute error per sample size, and for each
+estimator how much of its error is left at the largest size.
 
 The full-size study is available from the command line:
 
@@ -36,8 +37,10 @@ def main() -> None:
     theory = {r.n: r.abs_error for r in result.rows if r.estimator == "theoretical"}
     print("\nreference slope (anchored at the first size): "
           + ", ".join(f"{n}:{theory[n]:.4f}" for n in CONFIG.n_grid))
-    print("\nmean error shrinks with n for the neighbor-graph estimators, while")
-    print("the histogram baseline stalls — binning cannot keep up in 3-D.")
+    first, last = CONFIG.n_grid[0], CONFIG.n_grid[-1]
+    print(f"\nmean error at n = {last} over mean error at n = {first}: "
+          + ", ".join(f"{label} {means[label][last] / means[label][first]:.2f}"
+                      for label in labels))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,8 @@ class DegenerateSampleError(NNEntropyError, ValueError):
     """A sample is degenerate for the requested computation.
 
     Raised, for example, when every edge of a neighbor graph has length
-    zero (all points coincide) or a coordinate has zero spread where a
+    zero (all points coincide), when neighbor distances overflow or
+    underflow float64, or when a coordinate has zero spread where a
     positive spread is required.
     """
 

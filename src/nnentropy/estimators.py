@@ -263,8 +263,12 @@ def empirical_copula(points) -> PointSet:
     n = ps.n
     ranks = np.empty((n, ps.d), dtype=np.float64)
     for j in range(ps.d):
-        col = X[:, j]
-        ranks[:, j] = np.searchsorted(np.sort(col), col, side="right")
+        # One sort per column: a value's rank is the sorted position just
+        # past its last copy, and copies end where the sorted values change.
+        order = np.argsort(X[:, j])
+        ordered = X[order, j]
+        ends = np.append(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, n)
+        ranks[order, j] = np.repeat(ends, np.diff(ends, prepend=0))
     ranks /= n
     return PointSet(ranks)
 

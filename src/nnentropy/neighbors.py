@@ -11,9 +11,13 @@ rows (ties, near-ties at floating-point resolution and duplicate points)
 are resolved exactly after the clear ones: each distinct point asks the
 tree for more nearest neighbors, doubling their number until every point
 tied with its k-th neighbor is among them, and sorts them by
-(length, index).
+(length, index). Distances that overflow or underflow float64 stop the
+search with :class:`DegenerateSampleError`.
 
-The tree is queried one block of rows at a time, so the search's scratch
+The tree is queried one block of rows at a time, and the blocks follow the
+tree's own leaf order (``cKDTree.indices``): consecutive queries start from
+neighboring points, so the search walks the tree's memory in order, and each
+row's result is written back at its input position. The search's scratch
 memory beyond the tree and the output arrays is one block of rows plus the
 tie rows: it does not grow with the number of clear rows.
 """
@@ -48,10 +52,12 @@ _BLOCK_ELEMENTS = 2**24
 
 # Rows per kd-tree query. The search holds the k + 2 reported neighbors, the
 # gap test and the recomputed lengths of one block at a time. Measured on 2
-# cores at n = 200,000, d = 3, k = 3: blocks of 16,384 rows hold 21 MiB in
-# all where one query over every row held 75 MiB. Split into blocks of 16,384
-# to 65,536 rows, a threaded query costs 3-5% more CPU time than in one call;
-# blocks of 4,096 rows cost up to 15% more.
+# cores at n = 200,000, d = 3, k = 3, blocks in leaf order: blocks of 16,384
+# rows hold 21 MiB in all where one query over every row held 75 MiB. Split
+# into blocks of 16,384 rows, a threaded query costs 12% more CPU time than
+# one call (65,536 rows: 7%, 4,096 rows: 23%); on the calling thread the
+# block size makes no difference. In leaf order the query takes half the CPU
+# time it takes in input order, at every block size.
 _QUERY_BLOCK_ROWS = 16_384
 
 # Inputs with fewer coordinates than this (rows x d) are queried on the
@@ -64,10 +70,11 @@ _THREADED_QUERY_ELEMENTS = 10_000
 def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
 
-    The kd-tree search holds, besides the tree and the output arrays, the
-    scratch of one block of rows (their ``k + 2`` reported neighbors, the
-    gap test and the recomputed lengths), the indices of the tie rows and
-    one slice of their candidates at a time.
+    The kd-tree search queries the rows in blocks taken in the tree's leaf
+    order. Besides the tree and the output arrays it holds the scratch of
+    one block of rows (their ``k + 2`` reported neighbors, the gap test and
+    the recomputed lengths), the indices of the tie rows and one slice of
+    their candidates at a time.
 
     Parameters
     ----------
@@ -92,6 +99,12 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
         ``i``, ordered by distance with ties broken by ascending index.
     lengths : ndarray, shape (n, k), float64
         The corresponding Euclidean distances (zero for duplicates).
+
+    Raises
+    ------
+    DegenerateSampleError
+        If a neighbor distance overflows float64, or underflows to zero
+        between points whose coordinates differ.
     """
     ps = as_point_set(points)
     X = ps.points
@@ -137,11 +150,12 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     """kd-tree search, exact at every dimension.
 
     The tree is asked for ``k + 2`` neighbors of every point, one block of
-    ``_QUERY_BLOCK_ROWS`` rows at a time. A row is taken as reported when
+    ``_QUERY_BLOCK_ROWS`` rows at a time, the blocks being consecutive
+    slices of the tree's leaf order. A row is taken as reported when
     the point itself comes first and consecutive reported distances have a
     clear relative gap; only then can the tree's ordering be trusted to
     match the tie-broken reference. All other rows, from every block, go to
-    :func:`_resolve_ties` together after the last block.
+    :func:`_resolve_ties` together after the last block, in ascending order.
     """
     n = X.shape[0]
     if X.size < _THREADED_QUERY_ELEMENTS:
@@ -151,9 +165,8 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     lengths = np.empty((n, k), dtype=np.float64)
     tie_rows = []
     for start in range(0, n, _QUERY_BLOCK_ROWS):
-        stop = min(start + _QUERY_BLOCK_ROWS, n)
-        dist_s, idx_s = _query(tree, X[start:stop], min(k + 2, n), workers)
-        block = np.arange(start, stop)
+        block = tree.indices[start : start + _QUERY_BLOCK_ROWS]
+        dist_s, idx_s = _query(tree, X, X[block], min(k + 2, n), workers)
         gaps = np.diff(dist_s, axis=1)
         clear = (idx_s[:, 0] == block) & (gaps > _TIE_RTOL * dist_s[:, 1:]).all(axis=1)
 
@@ -163,22 +176,32 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
         lengths[rows] = np.sqrt((diff * diff).sum(axis=-1))
         tie_rows.append(block[~clear])
 
-    rows = np.concatenate(tie_rows)
+    rows = np.sort(np.concatenate(tie_rows))
     if rows.size:
         indices[rows], lengths[rows] = _resolve_ties(tree, X, rows, k)
     return indices, lengths
 
 
-def _query(tree: cKDTree, x: np.ndarray, m: int, workers: int):
-    """The tree's ``m`` nearest neighbors of each row of ``x``, by distance.
+def _query(tree: cKDTree, X: np.ndarray, x: np.ndarray, m: int, workers: int):
+    """The tree's ``m`` nearest neighbors in ``X`` of each row of ``x``, by distance.
 
-    A distance the tree reports as infinite has overflowed float64, which no
-    tie test or length can recover; the search stops there.
+    A distance the tree reports as infinite has overflowed float64, and a
+    zero distance between points whose coordinates differ has underflowed:
+    no tie test or length can recover either, so the search stops there,
+    before any tie query grows.
     """
     dist, idx = tree.query(x, k=m, workers=workers)
     if not np.isfinite(dist[:, -1]).all():
         raise DegenerateSampleError(
             "the sample's neighbor distances overflow float64; rescale the data"
+        )
+    # Each row of x is a point of X and finds a copy of itself at distance 0;
+    # only rows with a second zero can hold a zero between differing points.
+    piled = dist[:, 1] == 0
+    at, col = np.nonzero(dist[piled] == 0)
+    if (X[idx[piled][at, col]] != x[piled][at]).any():
+        raise DegenerateSampleError(
+            "the sample's neighbor distances underflow float64; rescale the data"
         )
     return dist, idx
 
@@ -209,7 +232,7 @@ def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, k: int):
         wider = []
         for start in range(0, todo.size, step):
             part = todo[start : start + step]
-            dist, cand = _query(tree, points[part], m, 1)
+            dist, cand = _query(tree, X, points[part], m, 1)
             done = (m == n) | (dist[:, -1] - dist[:, k] > _TIE_RTOL * dist[:, -1])
             wider.append(part[~done])
             part, cand = part[done], cand[done]

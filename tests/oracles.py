@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch with different
 algorithms and different arithmetic than the package code: a quadratic-time
-neighbor scan, brute-force partition enumeration, a Monte Carlo of the graph
-constant on the periodic box, and direct numerical integration of the
-closed-form target quantities.
+neighbor scan, copula ranks by binary search, brute-force partition
+enumeration, a Monte Carlo of the graph constant on the periodic box, and
+direct numerical integration of the closed-form target quantities.
 """
 
 from __future__ import annotations
@@ -34,6 +34,19 @@ def brute_knn(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     np.fill_diagonal(sq, np.inf)
     order = np.lexsort((np.tile(np.arange(n), (n, 1)), sq), axis=1)[:, :k]
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
+
+
+def copula_ranks(X: np.ndarray) -> np.ndarray:
+    """Empirical copula by binary search: ``#{l : X[l, j] <= X[i, j]} / n``.
+
+    Each value is located in its sorted column with ``side="right"``, so tied
+    values (``-0.0`` and ``0.0`` among them) share the count of the last copy.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    ranks = np.empty(X.shape)
+    for j in range(X.shape[1]):
+        ranks[:, j] = np.searchsorted(np.sort(X[:, j]), X[:, j], side="right")
+    return ranks / X.shape[0]
 
 
 def torus_gamma(d: int, p: float, spec, n: int, reps: int, seed: int) -> tuple[float, float]:

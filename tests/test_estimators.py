@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nnentropy import (
     DegenerateSampleError,
@@ -27,6 +28,8 @@ from nnentropy import (
     renyi_entropy,
     renyi_mi,
 )
+
+from .oracles import copula_ranks
 
 
 class TestEstimatorSettings:
@@ -92,6 +95,24 @@ class TestEmpiricalCopula:
         X = rng.standard_normal((200, 3))
         Y = np.column_stack([np.exp(X[:, 0]), X[:, 1] ** 3, 2.0 * X[:, 2] - 7.0])
         assert np.array_equal(empirical_copula(X).points, empirical_copula(Y).points)
+
+    def test_edge_cases_match_binary_search(self):
+        X = np.array([[0.0, 2.0, 7.0], [-0.0, 2.0, 1.0], [1.0, 2.0, 7.0], [-0.0, 2.0, 7.0]])
+        out = empirical_copula(X).points
+        assert out.tolist() == [[0.75, 1.0, 1.0], [0.75, 1.0, 0.25], [1.0, 1.0, 1.0], [0.75, 1.0, 1.0]]
+        assert out.tobytes() == copula_ranks(X).tobytes()
+        assert empirical_copula([[3.5, -0.0]]).points.tolist() == [[1.0, 1.0]]
+
+    @given(data=st.data())
+    def test_matches_binary_search(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        piles = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e-300])
+        values = st.one_of(piles, st.floats(-1e6, 1e6))
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=values), label="X")
+        if data.draw(st.booleans(), label="constant last column"):
+            X[:, -1] = X[0, -1]
+        assert empirical_copula(X).points.tobytes() == copula_ranks(X).tobytes()
 
 
 class TestRenyiEntropy:

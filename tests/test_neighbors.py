@@ -147,6 +147,23 @@ def test_overflowing_distances_raise():
         knn_all(X, 3)
 
 
+def test_underflowing_distances_raise_before_tie_queries_grow(monkeypatch):
+    # Distinct points whose squared distances underflow are all 0 apart, so
+    # every row looks tied; widening their queries would reach every point.
+    asked = []
+
+    class Tree(cKDTree):
+        def query(self, x, k, workers):
+            asked.append(k)
+            return super().query(x, k=k, workers=workers)
+
+    monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    X = np.random.default_rng(11).random((6000, 3)) * 1e-170
+    with pytest.raises(DegenerateSampleError, match="underflow float64"):
+        knn_all(X, 3)
+    assert asked and max(asked) <= 3 + 2
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 21])
 @given(data=st.data())
 def test_small_integer_inputs_match_scan(d, data):
@@ -251,12 +268,13 @@ def test_unknown_method_rejected():
 
 
 def _rounded_piles(rng):
-    # Rows rounded to a 0.1 grid pile up on shared sites all through the row
-    # order; the appended copy of row 0 puts one pile's ends in the first
-    # and in the last block for every block size; 92 rows leave a partial
-    # last block at 7 and at n - 1 rows.
+    # Rows rounded to a 0.1 grid pile up on shared sites. Blocks follow the
+    # tree's leaf order, and eight copies of (1.1, 1.1), beyond every other
+    # row in both coordinates, end it: one pile then spans the last block and
+    # the one before at every block size. 99 rows leave a partial last block
+    # at 7 and at n - 1 rows.
     X = np.round(rng.random((91, 2)), 1)
-    return np.vstack([X, X[:1]])
+    return np.vstack([X, np.full((8, 2), 1.1)])
 
 
 BLOCK_CASES = {
@@ -301,8 +319,34 @@ def test_blocked_query_matches_scan(monkeypatch, case, size):
     if case == "continuous":
         assert not tie_batches  # every row is taken from its own block's query
     if case == "rounded-piles":
-        blocks = np.unique(tie_batches[0] // size)
-        assert blocks.size > 1 and blocks[-1] == (n - 1) // size
+        # The pile of the last row in leaf order is split across two blocks,
+        # and all its rows are resolved as ties.
+        order = cKDTree(X).indices
+        pile = np.flatnonzero((X == X[order[-1]]).all(axis=1))
+        block = np.argsort(order)[pile] // size
+        assert block.max() == (n - 1) // size and block.min() < block.max()
+        assert np.isin(pile, tie_batches[0]).all()
+
+
+def test_blocks_are_consecutive_slices_of_the_leaf_order(monkeypatch):
+    queried = []
+
+    class Tree(cKDTree):
+        def query(self, x, k, workers):
+            queried.append((self.indices, x.copy()))
+            return super().query(x, k=k, workers=workers)
+
+    monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", 7)
+    X = np.random.default_rng(15).random((300, 3))
+    knn_all(X, 3)
+    order = queried[0][0]
+    assert not np.array_equal(order, np.arange(len(X)))
+    # Continuous data has no tie rows, so every query is a block.
+    assert len(queried) == -(-len(X) // 7)
+    for start, (indices, x) in zip(range(0, len(X), 7), queried):
+        assert np.array_equal(indices, order)
+        assert x.tobytes() == X[order[start : start + 7]].tobytes()
 
 
 @pytest.mark.parametrize("size", ["1", "7", "n-1"])
