@@ -5,18 +5,16 @@ where gamma is the limit of that ratio on uniform samples. The limit has a
 closed form (for a rank set S, the single-rank constants summed over S).
 On n uniform points in the unit cube the ratio sits above the limit by a
 boundary term: to first order gamma_inf * (1 + b * n^(-1/d)), where b also
-has a closed form. The Monte-Carlo calibration on the cube converges to the
-limit only slowly, but agrees with the boundary-corrected value at every
-size, within its standard error (compare the last two columns below).
-The estimators use the closed forms; the Monte Carlo and its cache are the
-cross-check.
+has a closed form. `nnentropy calibrate` prints both numbers. The library's
+Monte-Carlo estimate on the cube converges to the limit only slowly, but
+agrees with the boundary-corrected value at every size, within its standard
+error (compare the last two columns below). The estimators use the closed
+forms; the Monte Carlo is their cross-check.
 """
 
 import math
-import tempfile
-from pathlib import Path
 
-from nnentropy import GammaCache, GammaKey, boundary_coefficient, estimate_gamma, gamma_analytic
+from nnentropy import GammaKey, boundary_coefficient, estimate_gamma, gamma_analytic
 
 D, S, P = 3, (1, 2, 3), 0.9
 
@@ -35,17 +33,6 @@ def main() -> None:
         print(f"{n_cal:>8} {est.mean:>10.6f} {est.std_error:>10.6f} "
               f"{(est.mean - limit) / est.std_error:>+12.1f} {predicted:>15.6f} "
               f"{(est.mean - predicted) / est.std_error:>+13.1f}")
-
-    # The cache is a JSON-lines file keyed by (d, p, S, n_cal, reps);
-    # a second request for the same key reads instead of recomputing.
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = GammaCache(Path(tmp) / "gamma.jsonl")
-        key = GammaKey(d=2, p=0.6, spec=(1, 2, 3), n_cal=20_000, reps=3)
-        first, hit1 = cache.get_or_compute(key, seed=0)
-        again, hit2 = cache.get_or_compute(key, seed=99)  # seed ignored on a hit
-        print(f"\ncache: first call hit={hit1}, second call hit={hit2}, "
-              f"same record={first == again}")
-        print(f"cache file holds {len(cache.path.read_text().splitlines())} line(s)")
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ every rank set: the single-rank constant :func:`gamma_analytic`, summed
 over the ranks in ``S``. On ``n`` points of the unit cube the functional
 exceeds that limit by a boundary term, ``gamma (1 + b_S n^(-1/d))`` to first
 order, where ``b_S`` averages :func:`boundary_coefficient` over ``S`` with
-the single-rank constants as weights. The estimators use these closed forms.
+the single-rank constants as weights. The estimators and the ``calibrate``
+command take both numbers from one memoized function.
 
 The constant at a finite size can also be estimated by Monte Carlo on the
 cube (:func:`estimate_gamma`), and such estimates can be cached on disk
-(:class:`GammaCache`). Only the ``calibrate`` command uses them; they are
-the cross-check of the closed forms.
+(:class:`GammaCache`). No estimate and no command uses them; they are the
+cross-check of the closed forms, and the benchmark still builds caches.
 """
 
 from __future__ import annotations
@@ -97,21 +98,21 @@ class GammaEstimate:
         object.__setattr__(self, "std_error", check_real(self.std_error, "std_error", strict=False))
 
 
-def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEstimate:
+def estimate_gamma(key: GammaKey, seed: int = 0) -> GammaEstimate:
     """Monte-Carlo estimate of the graph constant for ``key``.
 
     Draws ``key.reps`` independent uniform samples of size ``key.n_cal`` on
     the unit cube, computes ``L_p / n_cal^(1-p/d)`` for each, and returns
     the replication mean and its standard error. Each replication uses a
     child stream spawned from ``seed``, so the result is deterministic and
-    independent of evaluation order or thread count. One replication's
-    sample and graph are freed before the next is drawn.
+    independent of evaluation order. One replication's sample and graph
+    are freed before the next is drawn.
     """
     if not isinstance(key, GammaKey):
         raise ValueError("key must be a GammaKey")
     seed = check_integer(seed, "seed", 0)
     streams = np.random.SeedSequence(seed).spawn(key.reps)
-    values = np.array([_replication(key, stream, workers) for stream in streams])
+    values = np.array([_replication(key, stream) for stream in streams])
     mean = float(values.mean())
     if key.reps > 1:
         std_error = float(values.std(ddof=1) / math.sqrt(key.reps))
@@ -120,10 +121,10 @@ def estimate_gamma(key: GammaKey, seed: int = 0, workers: int = -1) -> GammaEsti
     return GammaEstimate(key=key, seed=seed, mean=mean, std_error=std_error)
 
 
-def _replication(key: GammaKey, stream: np.random.SeedSequence, workers: int) -> float:
+def _replication(key: GammaKey, stream: np.random.SeedSequence) -> float:
     """``L_p / n_cal^(1-p/d)`` of one uniform sample drawn from ``stream``."""
     pts = np.random.default_rng(stream).random((key.n_cal, key.d))
-    graph = build_nn_graph(pts, key.spec, workers=workers)
+    graph = build_nn_graph(pts, key.spec)
     return l_p(graph, key.p) / key.n_cal ** (1.0 - key.p / key.d)
 
 
@@ -188,6 +189,15 @@ def boundary_coefficient(d: int, p: float, k: int) -> float:
     a = (p + 1.0) / d
     log_ratio = -_log_ball_volume(d) / d + float(gammaln(k + a)) - float(gammaln(k + p / d))
     return 2.0 * p / a * math.exp(log_ratio) * _boundary_integral(d, p)
+
+
+@lru_cache(maxsize=256)
+def _closed_form(d: int, p: float, spec: NeighborSpec) -> tuple[float, float]:
+    """The limit constant of ``spec`` and its unit-cube boundary coefficient ``b_S``."""
+    terms = [gamma_analytic(d, p, k) for k in spec]
+    weighted = math.fsum(g * boundary_coefficient(d, p, k) for g, k in zip(terms, spec))
+    limit = math.fsum(terms)
+    return limit, weighted / limit
 
 
 def _log_ball_volume(d: int) -> float:
@@ -292,9 +302,7 @@ class GammaCache:
             finally:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
-    def get_or_compute(
-        self, key: GammaKey, seed: int = 0, workers: int = -1
-    ) -> tuple[GammaEstimate, bool]:
+    def get_or_compute(self, key: GammaKey, seed: int = 0) -> tuple[GammaEstimate, bool]:
         """Return ``(estimate, was_hit)``; compute and persist on a miss.
 
         The cache is re-checked after computing, so if a concurrent process
@@ -304,7 +312,7 @@ class GammaCache:
         hit = self.lookup(key)
         if hit is not None:
             return hit, True
-        est = estimate_gamma(key, seed=seed, workers=workers)
+        est = estimate_gamma(key, seed=seed)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a+", encoding="utf-8") as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)

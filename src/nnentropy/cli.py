@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands cover the whole workflow: ``calibrate`` estimates the
-normalizing constant by Monte Carlo (the estimators use its closed form),
-``entropy`` and ``mi`` estimate from CSV samples,
+Subcommands cover the whole workflow: ``calibrate`` prints the closed-form
+normalizing constant and the unit cube's boundary coefficient that the
+estimators use, ``entropy`` and ``mi`` estimate from CSV samples,
 ``rate-experiment`` and ``isa`` drive the two studies, and ``diagnostics``
 runs the structural checks. Results are printed as JSON (carrying the tool
 version and the effective settings); experiment tables are written as
@@ -15,9 +15,8 @@ mark is accepted and blank lines are skipped. Each cell is read as Python's
 cell in the first row).
 
 Exit codes: 0 success; 2 usage error (bad flags or parameter ranges);
-3 data error (unreadable input, malformed config or cache, a file that
-cannot be read or written, such as a directory given as calibrate's cache);
-4 numerical error (degenerate sample, infeasible histogram).
+3 data error (unreadable input, malformed config, a file that cannot be
+read or written); 4 numerical error (degenerate sample, infeasible histogram).
 """
 
 from __future__ import annotations
@@ -33,19 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .calibration import (
-    DEFAULT_N_CAL,
-    DEFAULT_REPS,
-    GammaCache,
-    GammaKey,
-    estimate_gamma,
-    estimate_record,
-)
+from .calibration import _closed_form
 from .diagnostics import run_diagnostics
 from .errors import (
     DataFormatError,
     DegenerateSampleError,
-    GammaCacheError,
     HistogramInfeasibleError,
     InsufficientPointsError,
     NNEntropyError,
@@ -199,13 +190,11 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def cmd_calibrate(args) -> None:
+    # p as EstimatorSettings.p derives it, so gamma matches the estimators' to the bit.
     p = args.p if args.alpha is None else args.d * (1.0 - check_alpha(args.alpha))
-    key = GammaKey(d=args.d, p=p, spec=args.S, n_cal=args.n_cal, reps=args.reps)
-    if args.cache is not None:
-        estimate, _ = args.cache.get_or_compute(key, seed=args.seed, workers=args.threads)
-    else:
-        estimate = estimate_gamma(key, seed=args.seed, workers=args.threads)
-    _emit(estimate_record(estimate))
+    gamma, b = _closed_form(args.d, p, args.S)
+    _emit({"tool_version": __version__, "d": args.d, "p": p, "S": list(args.S),
+           "gamma": gamma, "b": b})
 
 
 def cmd_estimate(args) -> None:
@@ -256,9 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=-1,
         help="worker cap for neighbor queries (-1: all cores)",
     )
-    common.add_argument("--cache", type=GammaCache,
-                        help="gamma cache file (JSON Lines) that calibrate reads and extends; "
-                             "the other commands accept it and use no cache")
 
     parser = argparse.ArgumentParser(
         prog="nnentropy",
@@ -268,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     cal = sub.add_parser(
-        "calibrate", parents=[common], help="estimate the normalizing constant gamma"
+        "calibrate", help="print the closed-form gamma and the cube's boundary coefficient b"
     )
     cal.add_argument("--d", type=int, required=True, help="sample dimension")
     power = cal.add_mutually_exclusive_group(required=True)
@@ -276,11 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     power.add_argument("--p", type=float, help="graph power directly, 0 < p < d")
     cal.add_argument("--S", type=_parse_ranks, default=NeighborSpec((1, 2, 3)),
                      help="neighbor ranks, e.g. 1,2,3 (default)")
-    cal.add_argument("--n-cal", type=int, default=DEFAULT_N_CAL, dest="n_cal",
-                     help=f"points per replication (default {DEFAULT_N_CAL})")
-    cal.add_argument("--reps", type=int, default=DEFAULT_REPS,
-                     help=f"replications (default {DEFAULT_REPS})")
-    cal.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     cal.set_defaults(func=cmd_calibrate)
 
     for name, description in (
@@ -296,6 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help='normalizing constant: a number, or "analytic" for the limit '
                               "constant (default: the limit, times the unit cube's boundary "
                               "factor for mi)")
+        est.add_argument("--cache", help="ignored: gamma is closed-form")
         est.set_defaults(func=cmd_estimate)
 
     rate = sub.add_parser(
@@ -331,7 +313,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (DataFormatError, GammaCacheError, InsufficientPointsError, OutsideCubeError, OSError) as exc:
+    except (DataFormatError, InsufficientPointsError, OutsideCubeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DegenerateSampleError, HistogramInfeasibleError) as exc:

@@ -38,7 +38,7 @@ class HistogramInfeasibleError(NNEntropyError, ValueError):
 
 
 class GammaCacheError(NNEntropyError, ValueError):
-    """A calibration cache file is malformed."""
+    """A :class:`GammaCache` file is malformed; no command reads a cache."""
 
 
 class DataFormatError(NNEntropyError, ValueError):

@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from numbers import Real
 
 import numpy as np
 
-from .calibration import (
-    DEFAULT_N_CAL,
-    DEFAULT_REPS,
-    GammaCache,
-    boundary_coefficient,
-    gamma_analytic,
-)
+from .calibration import GammaCache, _closed_form
 
 # Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
 # attribute of the module, so it stays until the tracer goes (ROADMAP item 6).
@@ -42,7 +35,6 @@ from .points import (
     as_neighbor_spec,
     as_point_set,
     check_alpha,
-    check_integer,
     check_real,
     check_workers,
 )
@@ -92,12 +84,9 @@ class EstimatorSettings:
         the sample's size ``n`` (source ``"boundary"``; see
         :func:`boundary_coefficient`), because the empirical copula lies in
         the unit cube.
-    cache, n_cal, reps
-        Accepted and checked, but no estimate reads them: the constant is
-        closed-form. ``cache`` must be a :class:`GammaCache` or None,
-        ``n_cal`` and ``reps`` integers (not bools or floats) with
-        ``n_cal > max(spec)`` and ``reps >= 1``. They are the Monte-Carlo
-        calibration's settings and are due to go with it.
+    cache : GammaCache or None
+        Checked, but no estimate reads it: the constant is closed-form.
+        It stays while the benchmark still passes one.
     workers : int
         Cap on the worker threads of neighbor queries: -1 uses all cores,
         otherwise an integer >= 1 (not a bool or a float). Small queries
@@ -108,16 +97,11 @@ class EstimatorSettings:
     spec: NeighborSpec = DEFAULT_SPEC
     gamma: float | str | None = None
     cache: GammaCache | None = None
-    n_cal: int = DEFAULT_N_CAL
-    reps: int = DEFAULT_REPS
     workers: int = -1
 
     def __post_init__(self) -> None:
-        spec = as_neighbor_spec(self.spec)
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", spec.k + 1))
-        object.__setattr__(self, "reps", check_integer(self.reps, "reps"))
+        object.__setattr__(self, "spec", as_neighbor_spec(self.spec))
         object.__setattr__(self, "workers", check_workers(self.workers))
         g = self.gamma
         if isinstance(g, Real):
@@ -145,7 +129,6 @@ class EstimateReport:
     spec: tuple[int, ...] | None
     gamma: float | None
     gamma_source: str | None
-    gamma_std_error: float | None
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -160,18 +143,8 @@ class EstimateReport:
             "S": list(self.spec) if self.spec is not None else None,
             "gamma": self.gamma,
             "gamma_source": self.gamma_source,
-            "gamma_std_error": self.gamma_std_error,
             "warnings": list(self.warnings),
         }
-
-
-@lru_cache(maxsize=256)
-def _closed_form(d: int, p: float, spec: NeighborSpec) -> tuple[float, float]:
-    """The limit constant of ``spec`` and its unit-cube boundary coefficient ``b_S``."""
-    terms = [gamma_analytic(d, p, k) for k in spec]
-    weighted = math.fsum(g * boundary_coefficient(d, p, k) for g, k in zip(terms, spec))
-    limit = math.fsum(terms)
-    return limit, weighted / limit
 
 
 def _resolve_gamma(settings: EstimatorSettings, d: int, p: float, copula_n: int | None):
@@ -245,7 +218,6 @@ def _graph_entropy(
         spec=settings.spec.indices,
         gamma=gamma,
         gamma_source=source,
-        gamma_std_error=None,
     )
 
 
@@ -352,7 +324,6 @@ def histogram_entropy(points, alpha: float) -> EstimateReport:
         spec=None,
         gamma=None,
         gamma_source=None,
-        gamma_std_error=None,
     )
 
 

@@ -37,6 +37,10 @@ __all__ = [
     "run_isa",
 ]
 
+# Cap on full swap sweeps: the search ends on its own, since every swap it
+# accepts strictly raises the objective; the cap bounds its cost.
+_MAX_SWEEPS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class IsaProblem:
@@ -276,9 +280,9 @@ def group_components(
     return IsaSolution(separation=permutation, blocks=blocks_sorted, objective=objective)
 
 
-def _swap_refine(blocks: list[list[int]], block_mi, max_sweeps: int = 100) -> list[list[int]]:
+def _swap_refine(blocks: list[list[int]], block_mi) -> list[list[int]]:
     """Pairwise-swap local search; accepts strictly improving swaps only."""
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for bi in range(len(blocks)):
             for bj in range(bi + 1, len(blocks)):

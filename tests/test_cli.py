@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process through ``main``."""
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnentropy import gamma_analytic
 from nnentropy.cli import _parse_fast, _parse_lines, _read_csv, main
 from nnentropy.errors import DataFormatError
 
@@ -44,58 +46,58 @@ def cache_arg(gamma_cache):
 
 
 class TestCalibrate:
-    ARGS = ["calibrate", "--d", "3", "--alpha", "0.7", "--S", "1,2,3",
-            "--n-cal", "2000", "--reps", "2"]
+    ARGS = ["calibrate", "--d", "3", "--alpha", "0.7", "--S", "1,2,3"]
 
-    def test_reports_positive_mean(self, capsys):
+    def test_prints_the_closed_forms(self, capsys):
         code, out, _ = run_cli(self.ARGS, capsys)
         assert code == 0
         record = json.loads(out)
-        assert record["mean"] > 0.0
+        assert set(record) == {"tool_version", "d", "p", "S", "gamma", "b"}
         assert record["d"] == 3 and record["S"] == [1, 2, 3]
+        assert record["gamma"] == math.fsum(gamma_analytic(3, record["p"], k) for k in (1, 2, 3))
+        assert math.isfinite(record["b"]) and record["b"] > 0.0
 
-    def test_repeat_is_identical(self, capsys):
-        first = run_cli(self.ARGS + ["--seed", "5"], capsys)
-        second = run_cli(self.ARGS + ["--seed", "5"], capsys)
-        assert first == second
+    def test_gamma_is_the_entropy_constant_bitwise(self, uniform3_csv, capsys):
+        record = json.loads(run_cli(self.ARGS, capsys)[1])
+        report = json.loads(run_cli(["entropy", uniform3_csv, "--alpha", "0.7"], capsys)[1])
+        assert (record["p"], record["gamma"]) == (report["p"], report["gamma"])
+
+    def test_boundary_factor_gives_the_mi_constant_bitwise(self, uniform3_csv, capsys):
+        record = json.loads(run_cli(self.ARGS, capsys)[1])
+        report = json.loads(run_cli(["mi", uniform3_csv, "--alpha", "0.7"], capsys)[1])
+        n = report["n"]
+        assert record["gamma"] * (1.0 + record["b"] * n ** (-1.0 / 3)) == report["gamma"]
 
     def test_p_flag_matches_derived_p(self, capsys):
-        base = ["--d", "2", "--S", "1", "--n-cal", "1000", "--reps", "1"]
+        base = ["--d", "2", "--S", "1"]
         via_alpha = run_cli(["calibrate", "--alpha", "0.7"] + base, capsys)
         via_p = run_cli(["calibrate", "--p", str(2 * (1 - 0.7))] + base, capsys)
         assert via_alpha == via_p
 
-    def test_alpha_out_of_range(self, capsys):
-        code, _, err = run_cli(["calibrate", "--d", "3", "--alpha", "1.2"], capsys)
-        assert code == 2
-        assert "alpha" in err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--d", "3", "--alpha", "1.2"], "alpha"),
+         (["--d", "0", "--alpha", "0.7"], "d must be"),
+         (["--d", "x", "--alpha", "0.7"], "--d"),
+         (["--d", "3", "--p", "3"], "p must"),
+         (["--d", "3", "--p", "0"], "p must"),
+         (["--d", "2", "--alpha", "0.7", "--p", "0.6"], "not allowed with")],
+        ids=["alpha-out-of-range", "zero-d", "string-d", "p-at-d", "zero-p", "alpha-and-p"],
+    )
+    def test_bad_parameter_is_usage_error(self, argv, message, capsys):
+        code, out, err = run_cli(["calibrate"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
-    def test_alpha_and_p_are_exclusive(self, capsys):
-        code, _, _ = run_cli(["calibrate", "--d", "2", "--alpha", "0.7", "--p", "0.6"], capsys)
-        assert code == 2
-
-    def test_cache_hit_reuses_record(self, tmp_path, capsys):
-        cache = tmp_path / "gamma.jsonl"
-        args = self.ARGS + ["--cache", str(cache)]
-        first = run_cli(args, capsys)
-        lines_after_first = cache.read_text().strip().splitlines()
-        second = run_cli(args + ["--seed", "99"], capsys)  # seed ignored on a hit
-        assert first[1] == second[1]
-        assert cache.read_text().strip().splitlines() == lines_after_first
-        assert len(lines_after_first) == 1
-
-    def test_directory_as_cache_is_data_error(self, tmp_path, capsys):
-        for cache in ("", str(tmp_path)):  # the empty path names the working directory
-            code, out, err = run_cli(self.ARGS + ["--cache", cache], capsys)
-            assert (code, out) == (3, "")
-            assert err.startswith("error: ") and "Is a directory" in err
-
-    def test_corrupt_cache(self, tmp_path, capsys):
-        cache = tmp_path / "gamma.jsonl"
-        cache.write_text("{not json}\n", encoding="utf-8")
-        code, _, err = run_cli(self.ARGS + ["--cache", str(cache)], capsys)
-        assert code == 3
-        assert "invalid JSON" in err
+    @pytest.mark.parametrize(
+        "flag",
+        [["--cache", "x"], ["--n-cal", "10"], ["--reps", "2"], ["--seed", "1"], ["--threads", "1"]],
+        ids=["cache", "n-cal", "reps", "seed", "threads"],
+    )
+    def test_monte_carlo_flags_are_gone(self, flag, capsys):
+        code, out, err = run_cli(self.ARGS + flag, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
 
 
 class TestEntropy:
@@ -105,12 +107,18 @@ class TestEntropy:
         report = json.loads(out)
         assert abs(report["value"]) < 0.2
         assert report["n"] == 2000 and report["d"] == 3
-        assert (report["gamma_source"], report["gamma_std_error"]) == ("analytic", None)
+        assert report["gamma_source"] == "analytic" and "gamma_std_error" not in report
         assert "tool_version" in report and report["input"] == uniform3_csv
 
     def test_deterministic_given_cache(self, uniform3_csv, cache_arg, capsys):
         argv = ["entropy", uniform3_csv, "--alpha", "0.7"] + cache_arg
         assert run_cli(argv, capsys) == run_cli(argv, capsys)
+
+    def test_cache_flag_is_ignored(self, uniform3_csv, tmp_path, capsys):
+        argv = ["entropy", uniform3_csv, "--alpha", "0.7"]
+        cache = tmp_path / "gamma.jsonl"
+        assert run_cli(argv + ["--cache", str(cache)], capsys) == run_cli(argv, capsys)
+        assert not cache.exists()
 
     def test_header_is_auto_detected(self, tmp_path, capsys):
         pts = np.random.default_rng(5).random((50, 2))
@@ -190,7 +198,7 @@ class TestMi:
         report = json.loads(out)
         assert abs(report["value"]) < 0.3
         assert report["warnings"] == []
-        assert (report["gamma_source"], report["gamma_std_error"]) == ("boundary", None)
+        assert report["gamma_source"] == "boundary" and "gamma_std_error" not in report
 
     def test_low_dimension_warns(self, tmp_path, capsys):
         path = write_csv(tmp_path / "pair.csv", np.random.default_rng(7).random((400, 2)))
@@ -361,13 +369,12 @@ class TestRateExperiment:
         "reps": 1,
     }
 
-    def test_writes_table_and_summary(self, tmp_path, cache_arg, capsys):
+    def test_writes_table_and_summary(self, tmp_path, capsys):
         config = tmp_path / "rate.json"
         config.write_text(json.dumps(self.CONFIG), encoding="utf-8")
         out_csv = tmp_path / "rates.csv"
         code, out, _ = run_cli(
-            ["rate-experiment", "--config", str(config), "--out", str(out_csv), "--seed", "2"]
-            + cache_arg,
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv), "--seed", "2"],
             capsys,
         )
         assert code == 0
@@ -378,6 +385,11 @@ class TestRateExperiment:
         summary = json.loads(out)
         assert summary["out"] == str(out_csv)
         assert set(summary["mean_abs_error"]) == {"hist", "kth", "knn"}
+
+    def test_cache_flag_is_gone(self, tmp_path, capsys):
+        argv = ["rate-experiment", "--config", "rate.json", "--out", str(tmp_path / "r.csv")]
+        code, _, err = run_cli(argv + ["--cache", "gamma.jsonl"], capsys)
+        assert code == 2 and "unrecognized arguments: --cache" in err
 
     def test_out_flag_required(self, tmp_path, capsys):
         config = tmp_path / "rate.json"
@@ -459,12 +471,10 @@ class TestIsa:
         path.write_text(json.dumps(self.CONFIG), encoding="utf-8")
         return str(path)
 
-    def test_writes_solution_and_norms(self, tmp_path, cache_arg, capsys):
+    def test_writes_solution_and_norms(self, tmp_path, capsys):
         out_dir = tmp_path / "isa-out"
         code, out, _ = run_cli(
-            ["isa", "--config", self._write_config(tmp_path), "--out-dir", str(out_dir)]
-            + cache_arg,
-            capsys,
+            ["isa", "--config", self._write_config(tmp_path), "--out-dir", str(out_dir)], capsys
         )
         assert code == 0
         payload = json.loads((out_dir / "solution.json").read_text())
@@ -474,15 +484,19 @@ class TestIsa:
         assert norms[0] == "true_block_0,true_block_1"
         assert len(norms) == 3
 
-    def test_deterministic(self, tmp_path, cache_arg, capsys):
+    def test_deterministic(self, tmp_path, capsys):
         config = self._write_config(tmp_path)
         runs = []
         for name in ("a", "b"):
             out_dir = tmp_path / name
-            run_cli(["isa", "--config", config, "--out-dir", str(out_dir), "--seed", "4"]
-                    + cache_arg, capsys)
+            run_cli(["isa", "--config", config, "--out-dir", str(out_dir), "--seed", "4"], capsys)
             runs.append((out_dir / "solution.json").read_text())
         assert runs[0] == runs[1]
+
+    def test_cache_flag_is_gone(self, tmp_path, capsys):
+        argv = ["isa", "--config", "isa.json", "--out-dir", str(tmp_path / "out")]
+        code, _, err = run_cli(argv + ["--cache", "gamma.jsonl"], capsys)
+        assert code == 2 and "unrecognized arguments: --cache" in err
 
     @pytest.mark.parametrize(
         "field, value",

@@ -171,8 +171,6 @@ INTEGER_PARAMETERS = [
     ("gamma_analytic", "k", lambda v: gamma_analytic(2, 0.5, v)),
     ("estimate_gamma", "seed",
      lambda v: estimate_gamma(GammaKey(d=1, p=0.5, spec=(1,), n_cal=10, reps=1), seed=v)),
-    ("EstimatorSettings", "n_cal", lambda v: EstimatorSettings(alpha=0.7, n_cal=v)),
-    ("EstimatorSettings", "reps", lambda v: EstimatorSettings(alpha=0.7, reps=v)),
     ("boundary_coefficient", "d", lambda v: boundary_coefficient(v, 0.5, 1)),
     ("boundary_coefficient", "k", lambda v: boundary_coefficient(2, 0.5, v)),
     ("uniform_entropy", "d", lambda v: uniform_entropy(v)),

@@ -1,10 +1,11 @@
-"""The JSON examples in README.md are read by the code they document."""
+"""The JSON examples in README.md are read or printed by the code they document."""
 
 import json
 import re
 from pathlib import Path
 
-from nnentropy import GammaCache, GammaKey, IsaExperimentConfig, RateExperimentConfig
+from nnentropy import IsaExperimentConfig, RateExperimentConfig
+from nnentropy.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,14 +15,11 @@ def _json_blocks():
     return re.findall(r"^```json\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
 
 
-def test_readme_json_examples_parse(tmp_path):
+def test_readme_json_examples_parse(capsys):
     record, rate, isa = _json_blocks()
 
-    cache = GammaCache(tmp_path / "gamma.jsonl")
-    cache.path.write_text(record, encoding="utf-8")
-    # The key `calibrate --d 3 --alpha 0.7 --S 1,2,3` looks up.
-    key = GammaKey(d=3, p=3 * (1.0 - 0.7), spec=(1, 2, 3))
-    assert cache.lookup(key).key == key
+    assert main(["calibrate", "--d", "3", "--alpha", "0.7", "--S", "1,2,3"]) == 0
+    assert json.loads(record) == json.loads(capsys.readouterr().out)
 
     # The README calls every value but the distribution a default.
     rate = json.loads(rate)
