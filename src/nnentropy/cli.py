@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -237,6 +238,7 @@ def cmd_diagnostics(args) -> None:
     _emit({**payload, **summary.to_dict()}, out=args.out)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one tree serves every call
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

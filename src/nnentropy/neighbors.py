@@ -17,9 +17,14 @@ search with :class:`DegenerateSampleError`.
 The tree is queried one block of rows at a time, and the blocks follow the
 tree's own leaf order (``cKDTree.indices``): consecutive queries start from
 neighboring points, so the search walks the tree's memory in order, and each
-row's result is written back at its input position. The search's scratch
-memory beyond the tree and the output arrays is one block of rows plus the
-tie rows: it does not grow with the number of clear rows.
+row's result is written back at its input position. Tie rows are resolved
+the same way, one slice of distinct points at a time, each slice's rows
+written back before the next. Beyond the tree and the output arrays, the
+search holds one block of rows or one slice of tie points with their
+candidates, plus a few integers per tie row: it does not grow with the
+number of clear rows. On a Gaussian sample rounded to one decimal, where
+98% of the rows are tie rows, a search at k = 3 peaks at 18 MiB (traced)
+for 100,000 x 3 points, 4.6 MiB of it output, and at 59 MiB for 400,000.
 """
 
 from __future__ import annotations
@@ -46,18 +51,21 @@ BRUTE_FORCE_DIMENSION = math.inf
 # continuous data.
 _TIE_RTOL = 1e-9
 
-# Cap on scratch elements per block: coordinate differences in the
-# exhaustive scan and candidate coordinates per slice of tie resolution.
+# Cap on the coordinate differences per block of the exhaustive scan.
 _BLOCK_ELEMENTS = 2**24
 
-# Rows per kd-tree query. The search holds the k + 2 reported neighbors, the
-# gap test and the recomputed lengths of one block at a time. Measured on 2
+# Rows per kd-tree query, and distinct points per slice of tie resolution.
+# The search holds the k + 2 reported neighbors, the gap test and the
+# recomputed lengths of one block at a time. Measured on 2
 # cores at n = 200,000, d = 3, k = 3, blocks in leaf order: blocks of 16,384
 # rows hold 21 MiB in all where one query over every row held 75 MiB. Split
 # into blocks of 16,384 rows, a threaded query costs 12% more CPU time than
 # one call (65,536 rows: 7%, 4,096 rows: 23%); on the calling thread the
 # block size makes no difference. In leaf order the query takes half the CPU
 # time it takes in input order, at every block size.
+# As slices of tie points, on a rounded 100,000 x 3 sample: 16,384 points
+# hold 18 MiB in all and 4,096 points 15 MiB, at a CPU cost (up to 12% more)
+# that alternating runs on 2 cores did not separate from noise.
 _QUERY_BLOCK_ROWS = 16_384
 
 # Inputs with fewer coordinates than this (rows x d) are queried on the
@@ -73,8 +81,8 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     The kd-tree search queries the rows in blocks taken in the tree's leaf
     order. Besides the tree and the output arrays it holds the scratch of
     one block of rows (their ``k + 2`` reported neighbors, the gap test and
-    the recomputed lengths), the indices of the tie rows and one slice of
-    their candidates at a time.
+    the recomputed lengths), the indices of the tie rows grouped by point,
+    and one slice of tie points with their candidates at a time.
 
     Parameters
     ----------
@@ -154,8 +162,9 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     slices of the tree's leaf order. A row is taken as reported when
     the point itself comes first and consecutive reported distances have a
     clear relative gap; only then can the tree's ordering be trusted to
-    match the tie-broken reference. All other rows, from every block, go to
-    :func:`_resolve_ties` together after the last block, in ascending order.
+    match the tie-broken reference. The indices of all other rows, from
+    every block, go to :func:`_resolve_ties` together after the last block,
+    in ascending order.
     """
     n = X.shape[0]
     if X.size < _THREADED_QUERY_ELEMENTS:
@@ -178,7 +187,7 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
 
     rows = np.sort(np.concatenate(tie_rows))
     if rows.size:
-        indices[rows], lengths[rows] = _resolve_ties(tree, X, rows, k)
+        _resolve_ties(tree, X, rows, k, indices, lengths)
     return indices, lengths
 
 
@@ -206,29 +215,48 @@ def _query(tree: cKDTree, X: np.ndarray, x: np.ndarray, m: int, workers: int):
     return dist, idx
 
 
-def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, k: int):
-    """Exact neighbors of ``X[rows]`` from k-nearest queries that grow.
+def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, k: int, indices, lengths):
+    """Write the exact neighbors of ``X[rows]`` into ``indices`` and ``lengths``.
 
     Rows at identical coordinates have bitwise-identical distances to every
     point, so they share one query and one sorted order: a pile of
-    duplicates costs one query instead of one per row. Each distinct point
-    is asked for ``m = k + 2`` neighbors. Where the farthest reported
-    distance is not clearly beyond the (k+1)-th, a point tied with the
-    (k+1)-th may be missing, so ``m`` doubles for those points, up to every
-    point. The candidates are sorted by (length, index) and each row takes
-    the first ``k`` entries other than itself. Each round is queried in
-    slices of at most ``_BLOCK_ELEMENTS`` candidate coordinates, on the
-    calling thread: starting worker threads costs more than a typical batch
-    of tie rows.
+    duplicates costs one query instead of one per row. The rows are grouped
+    by point, and the distinct points are resolved in slices of
+    ``_QUERY_BLOCK_ROWS`` points by :func:`_resolve_slice`, a function of
+    its own so that each slice's arrays are freed before the next slice
+    starts. Only the grouped row indices and the groups' starts outlive a
+    slice. On a Gaussian 100,000 x 3 sample rounded to one decimal (98,316
+    tie rows at 47,672 distinct points), ``knn_all`` at k = 3 peaks at
+    18 MiB traced, 4.6 MiB of it output; one batch of all tie rows held
+    38 MiB.
     """
-    n, d = X.shape
-    points, group = _distinct_rows(X[rows])
+    rows, starts = _distinct_rows(X, rows)
+    for s in range(0, len(starts) - 1, _QUERY_BLOCK_ROWS):
+        bounds = starts[s : s + _QUERY_BLOCK_ROWS + 1]
+        part = rows[bounds[0] : bounds[-1]]
+        _resolve_slice(tree, X, part, bounds - bounds[0], k, indices, lengths)
+
+
+def _resolve_slice(tree: cKDTree, X: np.ndarray, rows, starts, k: int, indices, lengths):
+    """Resolve one slice of tie rows, grouped by point between ``starts``.
+
+    Each distinct point is asked for ``m = k + 2`` neighbors. Where the
+    farthest reported distance is not clearly beyond the (k+1)-th, a point
+    tied with the (k+1)-th may be missing, so ``m`` doubles for those points,
+    up to every point. A round queries ``_QUERY_BLOCK_ROWS * (k + 2) // m``
+    points at a time, so its candidates stay about one query block, on the
+    calling thread: starting worker threads costs more than a typical batch
+    of tie rows. The candidates are sorted by (length, index) and each row
+    takes the first ``k`` entries other than itself.
+    """
+    n = X.shape[0]
+    points = X[rows[starts[:-1]]]
     # The first k + 1 candidates of each distinct point, by (length, index).
     head_idx = np.empty((len(points), k + 1), dtype=np.intp)
     head_sq = np.empty((len(points), k + 1), dtype=np.float64)
     todo, m = np.arange(len(points)), min(k + 2, n)
     while todo.size:
-        step = max(1, _BLOCK_ELEMENTS // (m * d))
+        step = max(1, _QUERY_BLOCK_ROWS * (k + 2) // m)
         wider = []
         for start in range(0, todo.size, step):
             part = todo[start : start + step]
@@ -244,27 +272,26 @@ def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, k: int):
         todo, m = np.concatenate(wider), min(2 * m, n)
 
     # Skip each row's own index if it sits among its point's first k + 1.
-    head_idx, head_sq = head_idx[group], head_sq[group]
+    sizes = np.diff(starts)
+    head_idx, head_sq = head_idx.repeat(sizes, axis=0), head_sq.repeat(sizes, axis=0)
     slot = np.arange(k + 1)
     own = np.where(head_idx == rows[:, None], slot, k).min(axis=1)
     cols = slot[:k] + (slot[:k] >= own[:, None])
-    return (
-        np.take_along_axis(head_idx, cols, axis=1),
-        np.sqrt(np.take_along_axis(head_sq, cols, axis=1)),
-    )
+    indices[rows] = np.take_along_axis(head_idx, cols, axis=1)
+    lengths[rows] = np.sqrt(np.take_along_axis(head_sq, cols, axis=1))
 
 
-def _distinct_rows(P: np.ndarray):
-    """Distinct rows of ``P`` in lexicographic order, and each row's group.
+def _distinct_rows(X: np.ndarray, rows):
+    """``rows`` grouped by the point they hold, and each group's start.
 
-    The grouping of ``np.unique(P, axis=0, return_inverse=True)``; a lexsort
-    over the columns is several times faster than its structured sort.
+    The points come in lexicographic order and each group's rows in their
+    order in ``rows``; the last start is ``len(rows)``. This is the grouping of
+    ``np.unique(X[rows], axis=0)``; a lexsort over the columns is several
+    times faster than its structured sort.
     """
+    P = X[rows]
     order = np.lexsort(P.T[::-1])
-    ordered = P[order]
-    first = np.ones(len(P), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty(len(P), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return ordered[first], group
-
+    P = P[order]
+    first = np.ones(len(P) + 1, dtype=bool)
+    first[1:-1] = (P[1:] != P[:-1]).any(axis=1)
+    return rows[order], np.flatnonzero(first)

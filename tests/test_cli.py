@@ -542,6 +542,19 @@ class TestTopLevel:
     def test_missing_command(self, capsys):
         assert run_cli([], capsys)[0] == 2
 
+    def test_successive_calls_share_no_arguments(self, uniform3_csv, capsys):
+        # The parser is built once per process; one call's flags must not
+        # become the next call's defaults.
+        code, out, _ = run_cli(
+            ["mi", uniform3_csv, "--alpha", "0.7", "--gamma", "analytic", "--S", "2"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["gamma_source"] == "analytic"
+        code, out, _ = run_cli(["mi", uniform3_csv, "--alpha", "0.7"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["gamma_source"] == "boundary" and report["S"] == [1, 2, 3]
+
     def test_threads_flag_does_not_change_results(self, tmp_path, capsys):
         path = write_csv(tmp_path / "pts.csv", np.random.default_rng(9).random((200, 3)))
         argv = ["entropy", path, "--alpha", "0.7", "--gamma", "1.0"]

@@ -106,21 +106,25 @@ def test_tie_heavy_inputs_match_scan(case, k):
     assert_matches_scan(X, k)
 
 
-def test_tie_resolution_in_small_chunks(monkeypatch):
-    # A budget of 40 coordinates slices the first round (k + 2 = 5 candidates
-    # in 2 dimensions) into 4 points at a time, and every round from 20
-    # candidates on into single points.
-    monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", 40)
-    assert_matches_scan(_integer_grid(np.random.default_rng(8)), 3)
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_tie_resolution_in_small_chunks(monkeypatch, k):
+    # Slices of 3 distinct points, each a pile of about 4 rows of the grid,
+    # spread the tie rows over about 30 slices. A round queries
+    # 3 (k + 2) // m points at a time: 3 in the first round, then single
+    # points as m doubles.
+    monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", 3)
+    assert_matches_scan(_integer_grid(np.random.default_rng(8)), k)
 
 
 def test_tie_resolution_of_a_subset_of_rows():
     X = _rounded_gaussian_copula(np.random.default_rng(4))
     rows = np.arange(0, len(X), 7)
-    idx, lengths = neighbors._resolve_ties(cKDTree(X), X, rows, 3)
+    idx = np.full((len(X), 3), -1, dtype=np.intp)
+    lengths = np.full((len(X), 3), np.nan)
+    neighbors._resolve_ties(cKDTree(X), X, rows, 3, idx, lengths)
     idx_b, len_b = knn_all(X, 3, method="brute")
-    assert np.array_equal(idx, idx_b[rows])
-    assert lengths.tobytes() == len_b[rows].tobytes()
+    assert np.array_equal(idx[rows], idx_b[rows])
+    assert lengths[rows].tobytes() == len_b[rows].tobytes()
 
 
 def test_large_pile_widens_the_tie_query(monkeypatch):
@@ -292,9 +296,9 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
     tie_batches = []
     real = neighbors._resolve_ties
 
-    def resolve_ties(tree, X, rows, k):
+    def resolve_ties(tree, X, rows, k, indices, lengths):
         tie_batches.append(rows)
-        return real(tree, X, rows, k)
+        real(tree, X, rows, k, indices, lengths)
 
     monkeypatch.setattr(neighbors, "_resolve_ties", resolve_ties)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
@@ -357,28 +361,34 @@ def test_blocked_query_matches_scan_at_threaded_size(monkeypatch, size):
     assert not _assert_blocks_match(monkeypatch, X, size, workers=(1, -1))
 
 
+def _traced_peak(X):
+    """Peak traced allocation of ``knn_all(X, 3)``, in bytes."""
+    tracemalloc.start()
+    try:
+        knn_all(X, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scratch_is_bounded_by_one_block():
     # The (100000, 3) outputs take 4.6 MiB. Querying every row at once held
     # about 37 MiB; one block of rows holds under 14 MiB in all.
     X = np.random.default_rng(14).random((100_000, 3))
-    tracemalloc.start()
-    try:
-        knn_all(X, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert _traced_peak(X) < 20 * 2**20
 
 
 def test_tie_scratch_is_bounded():
-    # Almost every row of a rounded sample is a tie row. Resolving them in
-    # one batch of distance balls held 81 MiB; slices of k-nearest queries
-    # hold under 40 MiB in all, with 4.6 MiB of output.
+    # 98% of the rows of a rounded sample are tie rows. Resolving them in one
+    # batch, with each round sliced only at 2**24 coordinates, held 38 MiB;
+    # slices of 16,384 distinct points hold under 19 MiB in all, with
+    # 4.6 MiB of output.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
-    tracemalloc.start()
-    try:
-        knn_all(X, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 60 * 2**20
+    assert _traced_peak(X) < 24 * 2**20
+
+
+def test_copula_tie_scratch_is_bounded():
+    # The copula of the same sample: 29 MiB in one batch, under 19 MiB in
+    # slices.
+    X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
+    assert _traced_peak(empirical_copula(X).points) < 22 * 2**20
