@@ -118,31 +118,75 @@ def test_tie_resolution_in_small_chunks(monkeypatch, k):
 
 def test_tie_resolution_of_a_subset_of_rows():
     X = _rounded_gaussian_copula(np.random.default_rng(4))
+    # Every 7th row, grouped by point: a pile's rows here are fewer than its
+    # copies.
     rows = np.arange(0, len(X), 7)
+    order, starts = neighbors._point_groups(X[rows])
+    rows = rows[order]
     idx = np.full((len(X), 3), -1, dtype=np.intp)
     lengths = np.full((len(X), 3), np.nan)
-    neighbors._resolve_ties(cKDTree(X), X, rows, 3, idx, lengths)
+    neighbors._resolve_ties(cKDTree(X), X, rows, starts, 3, idx, lengths)
     idx_b, len_b = knn_all(X, 3, method="brute")
     assert np.array_equal(idx[rows], idx_b[rows])
     assert lengths[rows].tobytes() == len_b[rows].tobytes()
 
 
-def test_large_pile_widens_the_tie_query(monkeypatch):
-    # 500 copies of one point: each copy's first k + 1 by (length, index)
-    # are the lowest-indexed copies, which a (k + 2)-nearest query need not
-    # report, so the query grows until it holds the whole pile.
-    rng = np.random.default_rng(10)
-    X = np.vstack([np.repeat(rng.random((1, 3)), 500, axis=0), rng.random((50, 3))])
+def _record_queries(monkeypatch):
+    """Patch the search's tree to record each query's ``(k, x)``; return the list."""
     asked = []
 
     class Tree(cKDTree):
         def query(self, x, k, workers):
-            asked.append(k)
+            asked.append((k, x.copy()))
             return super().query(x, k=k, workers=workers)
 
     monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    return asked
+
+
+def test_large_pile_widens_the_tie_query(monkeypatch):
+    # 500 copies of one point: each copy's first k + 1 by (length, index)
+    # are the lowest-indexed copies, which a (k + 2)-nearest query need not
+    # report, so the query grows until it holds the whole pile. Asked for
+    # 500 neighbors or fewer, the pile's point is told only distances of 0,
+    # so it is first asked at the doubling's first m above 500 (m = n = 550).
+    rng = np.random.default_rng(10)
+    X = np.vstack([np.repeat(rng.random((1, 3)), 500, axis=0), rng.random((50, 3))])
+    asked = _record_queries(monkeypatch)
     assert_matches_scan(X, 3)
-    assert max(asked) > 3 + 2
+    pile = [k for k, x in asked if (x == X[0]).all(axis=1).any()]
+    assert pile and min(pile) > 500
+
+
+@pytest.mark.parametrize("case", ["duplicate-piles", "integer-grid", "rounded-gaussian-copula"])
+def test_piles_skip_the_block_queries(monkeypatch, case):
+    X = TIE_HEAVY[case](np.random.default_rng(16))
+    n, k = len(X), 3
+    _, group, copies = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    copies = copies[group.ravel()]
+    assert (copies > 1).any()
+    asked = _record_queries(monkeypatch)
+    knn_all(X, k)
+    # One block (n < _QUERY_BLOCK_ROWS) holds exactly the rows alone at their point.
+    lone = X[copies == 1]
+    m, x = asked[0]
+    assert m == k + 2 and len(x) == len(lone) > 0
+    assert np.array_equal(np.unique(x, axis=0), np.unique(lone, axis=0))
+    # A tie point is asked for more neighbors than it has rows, or for all n.
+    for m, x in asked[1:]:
+        match = (x[:, None, :] == X[None, :, :]).all(axis=-1)
+        assert ((match.sum(axis=1) < m) | (m == n)).all()
+
+
+def test_repeated_first_coordinate_without_piles_matches_scan():
+    # Only column 0 is rounded: its values repeat but no two rows are equal.
+    X = np.random.default_rng(17).random((4000, 3))
+    X[:, 0] = np.round(X[:, 0], 1)
+    assert len(np.unique(X[:, 0])) < len(X) == len(np.unique(X, axis=0))
+    _, starts = neighbors._point_groups(X)
+    assert (np.diff(starts) == 1).all()
+    assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
+    assert_matches_scan(X, 3)
 
 
 def test_overflowing_distances_raise():
@@ -154,18 +198,11 @@ def test_overflowing_distances_raise():
 def test_underflowing_distances_raise_before_tie_queries_grow(monkeypatch):
     # Distinct points whose squared distances underflow are all 0 apart, so
     # every row looks tied; widening their queries would reach every point.
-    asked = []
-
-    class Tree(cKDTree):
-        def query(self, x, k, workers):
-            asked.append(k)
-            return super().query(x, k=k, workers=workers)
-
-    monkeypatch.setattr(neighbors, "cKDTree", Tree)
+    asked = _record_queries(monkeypatch)
     X = np.random.default_rng(11).random((6000, 3)) * 1e-170
     with pytest.raises(DegenerateSampleError, match="underflow float64"):
         knn_all(X, 3)
-    assert asked and max(asked) <= 3 + 2
+    assert asked and max(k for k, _ in asked) <= 3 + 2
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 21])
@@ -254,8 +291,17 @@ def test_fewer_ranks_are_the_leading_columns(build, k):
     assert lengths.tobytes() == np.ascontiguousarray(deep_lengths[:, :k]).tobytes()
 
 
-def test_auto_matches_scan_at_21_dimensions():
-    assert_matches_scan(np.random.default_rng(9).random((60, 21)), 3)
+# Leaves grow with d (16 points per 4 dimensions), so these trees have
+# leaves of 32 to 96 points.
+@pytest.mark.parametrize("coordinates", ["continuous", "integer"])
+@pytest.mark.parametrize("d", [8, 12, 21, 25])
+def test_wide_leaves_match_scan(d, coordinates):
+    rng = np.random.default_rng(9)
+    if coordinates == "continuous":
+        X = rng.random((600, d))
+    else:
+        X = rng.integers(0, 3, size=(600, d)).astype(float)
+    assert_matches_scan(X, 3)
 
 
 def test_k_bounds():
@@ -296,9 +342,9 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
     tie_batches = []
     real = neighbors._resolve_ties
 
-    def resolve_ties(tree, X, rows, k, indices, lengths):
+    def resolve_ties(tree, X, rows, starts, k, indices, lengths):
         tie_batches.append(rows)
-        real(tree, X, rows, k, indices, lengths)
+        real(tree, X, rows, starts, k, indices, lengths)
 
     monkeypatch.setattr(neighbors, "_resolve_ties", resolve_ties)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
@@ -306,10 +352,10 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
         idx, lengths = knn_all(X, 3, workers=w)
         assert np.array_equal(idx, idx_b) and np.array_equal(idx, unblocked[w][0])
         assert lengths.tobytes() == len_b.tobytes() == unblocked[w][1].tobytes()
-    # Tie rows from all blocks reach the resolution once per search, in order.
+    # Tie rows from all blocks reach the resolution once per search, each once.
     assert len(tie_batches) <= len(workers)
     for rows in tie_batches:
-        assert np.array_equal(rows, np.unique(rows))
+        assert len(rows) == len(np.unique(rows))
     return tie_batches
 
 
