@@ -51,7 +51,7 @@ from .experiments import (
     run_isa_experiment,
     run_rate_experiment,
 )
-from .points import NeighborSpec, PointSet, check_alpha
+from .points import NeighborSpec, PointSet
 
 __all__ = ["main"]
 
@@ -191,8 +191,7 @@ def _emit(payload: dict, out=None) -> None:
 
 
 def cmd_calibrate(args) -> None:
-    # p as EstimatorSettings.p derives it, so gamma matches the estimators' to the bit.
-    p = args.p if args.alpha is None else args.d * (1.0 - check_alpha(args.alpha))
+    p = args.p if args.alpha is None else EstimatorSettings(alpha=args.alpha).p(args.d)
     gamma, b = _closed_form(args.d, p, args.S)
     _emit({"tool_version": __version__, "d": args.d, "p": p, "S": list(args.S),
            "gamma": gamma, "b": b})

@@ -4,9 +4,9 @@ The pipeline is the classical two-stage reduction: whiten the observations,
 run a symmetric fixed-point ICA to get one-dimensional components, then
 group the components into blocks of the known subspace dimension by
 maximizing the sum of within-block mutual information (greedy agglomeration
-plus pairwise-swap refinement). Separation quality against a known mixing
-matrix is scored with a block-structure index in [0, 1] (0 means perfect
-block-permutation recovery).
+plus pairwise-swap refinement; a pair is scored once, by the pairwise-MI
+matrix). Separation quality against a known mixing matrix is scored with a
+block-structure index in [0, 1] (0 means perfect block-permutation recovery).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
 # Cap on full swap sweeps: the search ends on its own, since every swap it
 # accepts strictly raises the objective; the cap bounds its cost.
 _MAX_SWEEPS = 100
+_MAX_ITER = 500  # cap on fixed-point ICA iterations (see fastica)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,17 +150,15 @@ def _orthonormal_rows(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T @ m
 
 
-def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
+def fastica(points, seed=0) -> FastICAResult:
     """Symmetric fixed-point ICA with the tanh nonlinearity.
 
     Expects whitened input. All rows are updated in parallel and
     re-orthonormalized each step; iteration stops when every row's overlap
-    with its previous value is within 1e-6 of 1, or after ``max_iter``
+    with its previous value is within 1e-6 of 1, or after ``_MAX_ITER``
     iterations (recorded as a warning in the result, not an error).
     """
-    ps = as_point_set(points)
-    max_iter = check_integer(max_iter, "max_iter")
-    X = ps.points
+    X = as_point_set(points).points
     n, q = X.shape
     rng = np.random.default_rng(seed)
     w0, r0 = np.linalg.qr(rng.standard_normal((q, q)))
@@ -167,7 +166,7 @@ def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         y = X @ w.T
         g = np.tanh(y)
         g_prime_mean = (1.0 - g * g).mean(axis=0)
@@ -180,7 +179,7 @@ def fastica(points, seed=0, max_iter: int = 500) -> FastICAResult:
             break
     warnings = ()
     if not converged:
-        warnings = (f"fixed-point iteration did not converge within {max_iter} iterations",)
+        warnings = (f"fixed-point iteration did not converge within {_MAX_ITER} iterations",)
     return FastICAResult(w=w, iterations=iterations, converged=converged, warnings=warnings)
 
 
@@ -243,10 +242,11 @@ def group_components(
     decreases, and termination is guaranteed.
 
     The search is deterministic. The components are ranked once for the
-    pairs and once for the blocks, and each pair and block gets one neighbor
-    search, on its columns of that copula; the values equal
-    :func:`renyi_mi` on the raw columns, bitwise, so the normalizing
-    constant is the same for every pair and for every block.
+    pairs and once for the blocks. Each pair is searched once, for the
+    pairwise-MI matrix, and read from it as a 2-block; each larger block is
+    searched once, on first use. Every search is on the block's columns of
+    a copula, so the values equal :func:`renyi_mi` on the raw columns,
+    bitwise, and the normalizing constant is the same for every block.
     """
     ps = as_point_set(ics)
     d, m = check_integer(subspace_dim, "subspace_dim"), check_integer(num_sources, "num_sources")
@@ -255,23 +255,20 @@ def group_components(
             f"{ps.d} components cannot be grouped into {m} blocks of {d}"
         )
     copula = empirical_copula(ps).points
-
-    mi_cache: dict[frozenset, float] = {}
+    scores: dict[frozenset, float] = {frozenset([c]): 0.0 for c in range(ps.d)}
 
     def block_mi(block) -> float:
         key = frozenset(block)
-        if key not in mi_cache:
-            if len(block) == 1:
-                mi_cache[key] = 0.0
-            else:
-                mi_cache[key] = _copula_mi(copula, sorted(block), settings)
-        return mi_cache[key]
+        if key not in scores:
+            scores[key] = _copula_mi(copula, sorted(block), settings)
+        return scores[key]
 
     if d == 1:
         blocks = [[c] for c in range(m)]
     else:
-        blocks = _greedy_blocks(pairwise_mi_matrix(ps, settings), d, m)
-        blocks = _swap_refine(blocks, block_mi)
+        matrix = pairwise_mi_matrix(ps, settings)
+        scores.update({frozenset((i, j)): matrix[i, j] for i in range(ps.d) for j in range(i)})
+        blocks = _swap_refine(_greedy_blocks(matrix, d, m), block_mi)
 
     blocks_sorted = tuple(tuple(sorted(b)) for b in sorted(blocks, key=min))
     objective = math.fsum(block_mi(b) for b in blocks_sorted)

@@ -153,6 +153,13 @@ class TestEntropy:
         code, _, err = run_cli(["entropy", str(tmp_path / "nope.csv"), "--alpha", "0.7"], capsys)
         assert code == 3
 
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"0.1,0.2\n0.3,\xff\n")
+        code, out, err = run_cli(["entropy", str(path), "--alpha", "0.7"], capsys)
+        assert (code, out) == (3, "")
+        assert "not valid UTF-8" in err
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_bad_thread_count_fails_before_reading(self, tmp_path, threads, capsys):
         # The input does not exist: reading it would exit 3.
@@ -219,6 +226,12 @@ class TestMi:
         report = json.loads(out)
         assert report["value"] > 1.0
         assert report["warnings"]  # dependence is perfect but d=2 is outside the guarantee
+
+    @pytest.mark.parametrize("ranks", ["0", "a,b"])
+    def test_bad_ranks_are_usage_error(self, uniform3_csv, ranks, capsys):
+        code, out, err = run_cli(["mi", uniform3_csv, "--alpha", "0.7", "--S", ranks], capsys)
+        assert (code, out) == (2, "")
+        assert "argument --S" in err
 
     def test_single_column_is_usage_error(self, tmp_path, capsys):
         path = write_csv(tmp_path / "one.csv", np.random.default_rng(9).random((50, 1)))
@@ -455,6 +468,17 @@ class TestRateExperiment:
         )
         assert code == 3
 
+    def test_invalid_json_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "rate.json"
+        config.write_text('{"n_grid": [64,', encoding="utf-8")
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "invalid JSON in rate config" in err
+        assert not out_csv.exists()
+
 
 class TestIsa:
     CONFIG = {
@@ -510,6 +534,15 @@ class TestIsa:
         code, _, err = run_cli(["isa", "--config", str(path), "--out-dir", str(out_dir)], capsys)
         assert code == 3
         assert field in err
+        assert not out_dir.exists()
+
+    def test_invalid_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "isa.json"
+        path.write_text("{'shapes': ['spiral']}", encoding="utf-8")
+        out_dir = tmp_path / "isa-out"
+        code, out, err = run_cli(["isa", "--config", str(path), "--out-dir", str(out_dir)], capsys)
+        assert (code, out) == (3, "")
+        assert "invalid JSON in ISA config" in err
         assert not out_dir.exists()
 
     def test_config_and_paper_scale_are_exclusive(self, tmp_path, capsys):

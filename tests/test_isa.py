@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import nnentropy.graph
+import nnentropy.isa
 from nnentropy import (
     DegenerateSampleError,
     EstimatorSettings,
@@ -22,6 +24,7 @@ from nnentropy import (
     sample,
     whiten,
 )
+from nnentropy.isa import _greedy_blocks
 
 FIXED = EstimatorSettings(alpha=0.7, gamma=1.0)
 
@@ -37,6 +40,19 @@ def _blocky_components(n=500, seed=3, noise=0.03):
         b + noise * rng.standard_normal(n),
     ]
     return np.column_stack(cols)
+
+
+def _planted_components(d, m, seed, n=200, noise=0.4):
+    """m weakly planted blocks of d columns, each column one block factor plus
+    noise; the columns are shuffled. Returns the sample and the planted blocks."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(m):
+        factor = rng.random(n)
+        cols += [factor + noise * rng.standard_normal(n) for _ in range(d)]
+    perm = rng.permutation(d * m)
+    planted = tuple(tuple(k for k in range(d * m) if perm[k] // d == b) for b in range(m))
+    return np.column_stack(cols)[:, perm], tuple(sorted(planted))
 
 
 class TestWhiten:
@@ -97,10 +113,11 @@ class TestFastica:
         w = fastica(white, seed=1).w
         assert np.allclose(w @ w.T, np.eye(3), atol=1e-8)
 
-    def test_iteration_cap_warns(self):
+    def test_iteration_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(nnentropy.isa, "_MAX_ITER", 1)
         rng = np.random.default_rng(7)
         white, _ = whiten(rng.random((300, 2)), n_components=2)
-        result = fastica(white, seed=0, max_iter=1)
+        result = fastica(white, seed=0)
         assert not result.converged
         assert result.iterations == 1
         assert "did not converge" in result.warnings[0]
@@ -166,6 +183,30 @@ class TestGroupComponents:
         sol = group_components(np.random.default_rng(10).random((60, 3)), 1, 3, FIXED)
         assert sol.blocks == ((0,), (1,), (2,))
         assert sol.objective == 0.0
+
+    @pytest.mark.parametrize("d, m, seed", [(2, 3, 7), (3, 2, 2), (2, 2, 2)])
+    def test_swaps_move_greedy_blocks_onto_planted_ones(self, d, m, seed):
+        X, planted = _planted_components(d, m, seed)
+        greedy = _greedy_blocks(pairwise_mi_matrix(X, FIXED), d, m)
+        assert tuple(sorted(map(tuple, greedy))) != planted
+        sol = group_components(X, d, m, FIXED)
+        assert sol.blocks == planted
+        assert sol.objective > math.fsum(renyi_mi(X[:, b], FIXED).value for b in greedy)
+
+    def test_pairs_are_searched_once(self, monkeypatch):
+        """At subspace_dim 2 every block is a pair, read from the pairwise
+        matrix: q(q - 1)/2 neighbor searches in all."""
+        calls = []
+        knn_all = nnentropy.graph.knn_all
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return knn_all(*args, **kwargs)
+
+        monkeypatch.setattr(nnentropy.graph, "knn_all", counted)
+        X, planted = _planted_components(2, 3, 0, noise=0.1)
+        assert group_components(X, 2, 3, FIXED).blocks == planted
+        assert len(calls) == 15
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="5 components cannot be grouped into 2 blocks of 2"):

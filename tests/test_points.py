@@ -31,7 +31,6 @@ from nnentropy import (
     check_growth_and_indegree,
     check_subadditivity,
     estimate_gamma,
-    fastica,
     gamma_analytic,
     gaussian_renyi_entropy,
     gaussian_renyi_mi,
@@ -187,7 +186,6 @@ INTEGER_PARAMETERS = [
     ("IsaProblem", "subspace_dim", lambda v: IsaProblem(_uniform(20, 4), v, 2)),
     ("IsaProblem", "num_sources", lambda v: IsaProblem(_uniform(20, 4), 2, v)),
     ("whiten", "n_components", lambda v: whiten(_uniform(20, 3), n_components=v)),
-    ("fastica", "max_iter", lambda v: fastica(_uniform(20, 2), max_iter=v)),
     ("group_components", "subspace_dim", lambda v: group_components(_uniform(20, 4), v, 2, _SETTINGS)),
     ("group_components", "num_sources", lambda v: group_components(_uniform(20, 4), 2, v, _SETTINGS)),
     ("block_norm_matrix", "subspace_dim", lambda v: block_norm_matrix(np.eye(4), v, 2)),
