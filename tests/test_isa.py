@@ -24,7 +24,8 @@ from nnentropy import (
     sample,
     whiten,
 )
-from nnentropy.isa import _greedy_blocks
+from nnentropy.experiments import PAPER_SCALE_ISA, IsaExperimentConfig, run_isa_experiment
+from nnentropy.isa import _greedy_blocks, _swap_refine
 
 FIXED = EstimatorSettings(alpha=0.7, gamma=1.0)
 
@@ -53,6 +54,26 @@ def _planted_components(d, m, seed, n=200, noise=0.4):
     perm = rng.permutation(d * m)
     planted = tuple(tuple(k for k in range(d * m) if perm[k] // d == b) for b in range(m))
     return np.column_stack(cols)[:, perm], tuple(sorted(planted))
+
+
+def _six_shapes(seed):
+    """ISA of the six paper shapes in 3-D at n = 200, where the swap search
+    changes greedy's grouping on every seed."""
+    config = IsaExperimentConfig(shapes=PAPER_SCALE_ISA.shapes, subspace_dim=3, n=200)
+    return run_isa_experiment(config, seed=seed).solution
+
+
+def _count_searches(monkeypatch):
+    """Record each neighbor search (one ``knn_all`` call per scored block)."""
+    calls = []
+    knn_all = nnentropy.graph.knn_all
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return knn_all(*args, **kwargs)
+
+    monkeypatch.setattr(nnentropy.graph, "knn_all", counted)
+    return calls
 
 
 class TestWhiten:
@@ -196,21 +217,88 @@ class TestGroupComponents:
     def test_pairs_are_searched_once(self, monkeypatch):
         """At subspace_dim 2 every block is a pair, read from the pairwise
         matrix: q(q - 1)/2 neighbor searches in all."""
-        calls = []
-        knn_all = nnentropy.graph.knn_all
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return knn_all(*args, **kwargs)
-
-        monkeypatch.setattr(nnentropy.graph, "knn_all", counted)
+        calls = _count_searches(monkeypatch)
         X, planted = _planted_components(2, 3, 0, noise=0.1)
         assert group_components(X, 2, 3, FIXED).blocks == planted
         assert len(calls) == 15
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_screened_swaps_are_not_searched(self, monkeypatch, seed):
+        """On strongly planted 3-blocks every cross-block swap is screened:
+        the 36 pairs and the 3 final blocks are searched, and no swap."""
+        calls = _count_searches(monkeypatch)
+        X, planted = _planted_components(3, 3, seed, noise=0.1)
+        assert group_components(X, 3, 3, FIXED).blocks == planted
+        assert len(calls) == 39
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: _six_shapes(3),
+            lambda: _six_shapes(1),
+            lambda: group_components(_planted_components(3, 2, 10)[0], 3, 2, FIXED),
+        ],
+        ids=["six-shapes-seed3", "six-shapes-seed1", "planted-d3-m2-seed10"],
+    )
+    def test_screen_keeps_bytes(self, monkeypatch, solve):
+        """Inputs where accepted swaps lower the pairwise sum (by up to 0.43
+        nat): scoring every swap gives the same grouping, to the bit."""
+        shipped = solve()
+        monkeypatch.setattr(nnentropy.isa, "_SWAP_SCREEN", math.inf)
+        scored = solve()
+        assert shipped.blocks == scored.blocks
+        assert shipped.objective.hex() == scored.objective.hex()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="5 components cannot be grouped into 2 blocks of 2"):
             group_components(np.random.default_rng(11).random((40, 5)), 2, 2, FIXED)
+
+
+class TestSwapRefine:
+    # Pairwise matrix of two 3-blocks {0, 1, 2} and {3, 4, 5}: a strong pair
+    # and two weak links in each.
+    MATRIX = np.array(
+        [
+            [0.0, 0.8, 0.1, 0.0, 0.0, 0.0],
+            [0.8, 0.0, 0.1, 0.0, 0.0, 0.0],
+            [0.1, 0.1, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.8, 0.1],
+            [0.0, 0.0, 0.0, 0.8, 0.0, 0.1],
+            [0.0, 0.0, 0.0, 0.1, 0.1, 0.0],
+        ]
+    )
+    # Block scores: the starting blocks and the blocks of swapping 2 with 5.
+    SCORES = {
+        frozenset((0, 1, 2)): 1.0,
+        frozenset((3, 4, 5)): 1.0,
+        frozenset((0, 1, 5)): 1.5,
+        frozenset((2, 3, 4)): 1.5,
+    }
+
+    def _refine(self):
+        seen = []
+
+        def block_mi(block):
+            seen.append(frozenset(block))
+            return self.SCORES.get(frozenset(block), 0.0)
+
+        blocks = _swap_refine([[0, 1, 2], [3, 4, 5]], self.MATRIX, block_mi)
+        return blocks, seen
+
+    def test_screened_swap_is_not_scored(self, monkeypatch):
+        # Swapping 0 with 3 breaks both strong pairs: pw = -1.8. Without the
+        # screen its blocks are scored.
+        screened = {frozenset((1, 2, 3)), frozenset((0, 4, 5))}
+        assert not screened & set(self._refine()[1])
+        monkeypatch.setattr(nnentropy.isa, "_SWAP_SCREEN", math.inf)
+        assert screened <= set(self._refine()[1])
+
+    def test_improving_swap_below_zero_is_accepted(self):
+        # Swapping 2 with 5 breaks four weak links: pw = -0.4, yet it raises
+        # the objective from 2.0 to 3.0.
+        blocks, seen = self._refine()
+        assert frozenset((0, 1, 5)) in seen
+        assert blocks == [[0, 1, 5], [2, 3, 4]]
 
 
 class TestBlockNorms:
