@@ -198,7 +198,11 @@ def pairwise_mi_matrix(ics, settings: EstimatorSettings) -> np.ndarray:
     The components are ranked once and each pair is scored on its two
     columns of that copula (see :func:`_copula_mi`).
     """
-    copula = empirical_copula(ics).points
+    return _pairwise_copula_mi(empirical_copula(ics).points, settings)
+
+
+def _pairwise_copula_mi(copula: np.ndarray, settings: EstimatorSettings) -> np.ndarray:
+    """:func:`pairwise_mi_matrix` of the sample whose copula is given."""
     q = copula.shape[1]
     matrix = np.zeros((q, q))
     for i in range(q):
@@ -254,8 +258,8 @@ def group_components(
     is therefore a local optimum under screened swaps: no swap that passes
     the screen raises the objective.
 
-    The search is deterministic. The components are ranked once for the
-    pairs and once for the blocks. Each pair is searched once, for the
+    The search is deterministic. The components are ranked once, for the
+    pairs and the blocks alike. Each pair is searched once, for the
     pairwise-MI matrix, and read from it as a 2-block; each larger block is
     searched once, on first use. Every search is on the block's columns of
     a copula, so the values equal :func:`renyi_mi` on the raw columns,
@@ -279,7 +283,7 @@ def group_components(
     if d == 1:
         blocks = [[c] for c in range(m)]
     else:
-        matrix = pairwise_mi_matrix(ps, settings)
+        matrix = _pairwise_copula_mi(copula, settings)
         scores.update({frozenset((i, j)): matrix[i, j] for i in range(ps.d) for j in range(i)})
         blocks = _swap_refine(_greedy_blocks(matrix, d, m), matrix, block_mi)
 

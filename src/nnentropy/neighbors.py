@@ -5,35 +5,37 @@ that selects a search method. Distance ties are broken by ascending point
 index, and every code path computes squared lengths with the same
 expression, ``(diff * diff).sum(axis=-1)``, so the kd-tree search and the
 exhaustive reference scan return bitwise-identical indices and lengths.
-The kd-tree serves every dimension, with leaves that grow with it (16
-points per 4 dimensions). Its reported neighbor distances are trusted only
-where they are separated by a clear relative gap; all other rows (ties,
-near-ties at floating-point resolution and duplicate points) are resolved
-exactly after the clear ones: each distinct point asks the tree for more
-nearest neighbors, doubling their number until every point tied with its
-k-th neighbor is among them, and sorts them by (length, index). Distances
-that overflow or underflow float64 stop the search with
+Distances that overflow or underflow float64 stop the search with
 :class:`DegenerateSampleError`.
 
-Duplicate points are screened for once, before any query, by sorting the
-first coordinate: if no value of it repeats, no point does. Otherwise all
-rows are grouped by point, and the rows of every point that occurs more
-than once (a pile) go straight to the tie resolution, which first asks a
-pile of ``s`` rows for more than ``s`` neighbors; below that all its
-reported distances are 0 and cannot settle it.
+The kd-tree serves every dimension, with leaves that grow with it (16
+points per 4 dimensions), and the search asks it about each distinct point
+in one pass. The rows are first grouped by the point they hold. Sorting the
+first coordinate screens for duplicate points: if no value of it repeats,
+no point does, and each row is a point of its own, taken in the tree's own
+leaf order (``cKDTree.indices``), so that consecutive queries start from
+neighboring points and walk the tree's memory in order. Otherwise the rows
+are grouped by point in lexicographic order.
 
-The other rows are queried one block at a time, and the blocks follow the
-tree's own leaf order (``cKDTree.indices``): consecutive queries start from
-neighboring points, so the search walks the tree's memory in order, and each
-row's result is written back at its input position. Tie rows are resolved
-the same way, one slice of distinct points at a time, each slice's rows
-written back before the next. Beyond the tree and the output arrays, the
-search holds one block of rows or one slice of tie points with their
-candidates, plus a few integers per tie row (per row where points
-repeat): it does not grow with the number of clear rows. On a Gaussian
-sample rounded to one decimal, where 98% of the rows are tie rows, a search
-at k = 3 peaks at 18.2 MiB (traced) for 100,000 x 3 points, 4.6 MiB of it
-output, and at 55 MiB for 400,000.
+The distinct points are searched one slice at a time, and each is first
+asked for its ``k + 2`` nearest neighbors. The tree's reported distances
+are trusted only where they are separated by a clear relative gap: a point
+whose gaps are all clear is alone at its coordinates, and its row takes the
+tree's order as it is. Any other point (ties, near-ties at floating-point
+resolution and duplicate points) sorts its candidates by (length, index)
+once the farthest is clearly beyond the (k+1)-th, and until then asks for
+twice as many, so that every point tied with its k-th neighbor is among
+them. A point of ``s`` rows (a pile) is first asked for more than ``s``
+neighbors; below that all its reported distances are 0 and cannot settle
+it. Every row takes its point's result, written back at its input position.
+
+Beyond the tree and the output arrays, the search holds one slice of
+points with their candidates, and where points repeat the grouped row
+indices and each point's number of rows. At k = 3 it peaks (traced) at
+12.6 MiB for 100,000 x 3 uniform points and at 20.2 MiB for 200,000,
+4.6 and 9.2 MiB of it output. On a Gaussian sample rounded to one decimal,
+where 98% of the rows are tied or piled, it peaks at 15.1 MiB for
+100,000 x 3 points and at 45 MiB for 400,000.
 """
 
 from __future__ import annotations
@@ -54,29 +56,27 @@ __all__ = ["knn_all"]
 BRUTE_FORCE_DIMENSION = math.inf
 
 # Relative gap below which two reported kd-tree distances are treated as a
-# potential tie and the row is re-resolved with the reference arithmetic.
-# Cross-library float discrepancies are a few ulp (~1e-16 relative), so
-# 1e-9 is a wide safety margin while being hit essentially never for
-# continuous data.
+# potential tie and the point's candidates are sorted with the reference
+# arithmetic. Cross-library float discrepancies are a few ulp (~1e-16
+# relative), so 1e-9 is a wide safety margin while being hit essentially
+# never for continuous data.
 _TIE_RTOL = 1e-9
 
 # Cap on the coordinate differences per block of the exhaustive scan.
 _BLOCK_ELEMENTS = 2**24
 
-# Rows per kd-tree query, and distinct points per slice of tie resolution.
-# The blocks hold only rows alone at their point; the rows of duplicated
-# points are never among them. The search holds the k + 2 reported
-# neighbors, the gap test and the recomputed lengths of one block at a time.
-# Measured on 2 cores at n = 200,000, d = 3, k = 3, blocks in leaf order:
-# blocks of 16,384 rows hold 21 MiB in all where one query over every row
-# held 75 MiB. Split into blocks of 16,384 rows, a threaded query costs 12%
-# more CPU time than one call (65,536 rows: 7%, 4,096 rows: 23%); on the
-# calling thread the block size makes no difference. In leaf order the
-# query takes half the CPU time it takes in input order, at every block
-# size. As slices of tie points, on a rounded 100,000 x 3 sample: 16,384
-# points hold 18.2 MiB in all; slices of 4,096 points held about 3 MiB
-# less, at a CPU cost (up to 12% more) that alternating runs on 2 cores did
-# not separate from noise.
+# Distinct points per slice of the search; a slice's first round asks all its
+# points in one kd-tree query. The search holds the reported neighbors, the
+# gap test and the recomputed lengths of one slice at a time. Measured on 2
+# cores at n = 200,000, d = 3, k = 3, in leaf order: slices of 16,384 points
+# hold 20.2 MiB in all where one query over every row held 75 MiB. Split into
+# blocks of 16,384 rows, a threaded query costs 12% more CPU time than one
+# call (65,536 rows: 7%, 4,096 rows: 23%); on the calling thread the block
+# size makes no difference. In leaf order the query takes half the CPU time
+# it takes in input order, at every block size. On a rounded 100,000 x 3
+# sample, slices of 16,384 points hold 15.1 MiB in all and slices of 4,096
+# points 10.4 MiB, at a CPU cost (up to 12% more) that alternating runs on 2
+# cores did not separate from noise.
 _QUERY_BLOCK_ROWS = 16_384
 
 # Inputs with fewer coordinates than this (rows x d) are queried on the
@@ -100,13 +100,12 @@ _LEAF_POINTS = 16
 def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
 
-    The kd-tree search sends the rows of duplicated points straight to the
-    tie resolution and queries the other rows in blocks taken in the tree's
-    leaf order. Besides the tree and the output arrays it holds the scratch
-    of one block of rows (their ``k + 2`` reported neighbors, the gap test
-    and the recomputed lengths), the indices of the tie rows grouped by
-    point (of every row, where points repeat), and one slice of tie points
-    with their candidates at a time.
+    The kd-tree search groups the rows by the point they hold and asks the
+    tree about each distinct point once for ``k + 2`` neighbors, and again,
+    for twice as many, only while a tie leaves it unsettled. Besides the
+    tree and the output arrays it holds one slice of points with their
+    candidates at a time, and where points repeat the grouped row indices
+    and each point's number of rows.
 
     Parameters
     ----------
@@ -181,85 +180,44 @@ def _knn_brute(X: np.ndarray, k: int):
 def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     """kd-tree search, exact at every dimension.
 
-    :func:`_point_groups` screens the sample for duplicate points. The rows
-    of points that occur more than once (piles) never reach the block
-    queries of :func:`_query_blocks`: their first two reported distances
-    are both 0, so no query can settle them. They and the rows the blocks
-    leave unsettled go to :func:`_resolve_ties` together, in the screen's
-    grouping by point where it grouped the rows, otherwise each row a point
-    of its own.
+    :func:`_point_groups` groups the rows by the point they hold, and
+    :func:`_search_slice` searches the distinct points in slices of
+    ``_QUERY_BLOCK_ROWS``, consecutive in the grouping's order.
     """
     n, d = X.shape
     if X.size < _THREADED_QUERY_ELEMENTS:
         workers = 1
-    groups = _point_groups(X)
     tree = cKDTree(X, leafsize=_LEAF_POINTS * max(1, d // 4))
+    rows, sizes = _point_groups(X, tree.indices)
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
-    order = tree.indices
-    if groups is None:
-        rows = _query_blocks(tree, X, order, k, workers, indices, lengths)
-        starts = np.arange(rows.size + 1)
-    else:
-        rows, starts = groups
-        sizes = np.diff(starts)
-        tied = np.ones(n, dtype=bool)
-        tied[rows[starts[:-1][sizes == 1]]] = False
-        tied[_query_blocks(tree, X, order[~tied[order]], k, workers, indices, lengths)] = True
-        keep = tied[rows[starts[:-1]]]
-        rows = rows[np.repeat(keep, sizes)]
-        starts = np.concatenate([[0], np.cumsum(sizes[keep])])
-    if rows.size:
-        _resolve_ties(tree, X, rows, starts, k, indices, lengths)
+    stop = 0
+    for s in range(0, sizes.size, _QUERY_BLOCK_ROWS):
+        part = sizes[s : s + _QUERY_BLOCK_ROWS]
+        start, stop = stop, stop + part.sum()
+        _search_slice(tree, X, rows[start:stop], part, k, workers, indices, lengths)
     return indices, lengths
 
 
-def _query_blocks(tree: cKDTree, X: np.ndarray, order, k: int, workers: int, indices, lengths):
-    """Write the neighbors of the rows in ``order`` that the tree settles; return the rest.
-
-    The rows are asked for ``k + 2`` neighbors, one block of
-    ``_QUERY_BLOCK_ROWS`` rows at a time, the blocks being consecutive
-    slices of ``order``, the tree's leaf order. A row is settled when the
-    point itself comes first and consecutive reported distances have a
-    clear relative gap; only then can the tree's ordering be trusted to
-    match the tie-broken reference. The unsettled rows are returned in
-    leaf order. A function of its own so that the last block's arrays are
-    freed before the ties are resolved.
-    """
-    n = X.shape[0]
-    tie_rows = [order[:0]]  # an empty result where every row is piled
-    for start in range(0, order.size, _QUERY_BLOCK_ROWS):
-        block = order[start : start + _QUERY_BLOCK_ROWS]
-        dist_s, idx_s = _query(tree, X, X[block], min(k + 2, n), workers)
-        gaps = np.diff(dist_s, axis=1)
-        clear = (idx_s[:, 0] == block) & (gaps > _TIE_RTOL * dist_s[:, 1:]).all(axis=1)
-
-        rows, sel = block[clear], idx_s[clear, 1 : k + 1]
-        diff = X[sel] - X[rows][:, None, :]
-        indices[rows] = sel
-        lengths[rows] = np.sqrt((diff * diff).sum(axis=-1))
-        tie_rows.append(block[~clear])
-    return np.concatenate(tie_rows)
-
-
-def _point_groups(X: np.ndarray):
-    """Every row grouped by the point it holds, and each group's start; or None.
+def _point_groups(X: np.ndarray, order):
+    """Every row grouped by the point it holds, and each point's number of rows.
 
     Sorting column 0 screens for duplicate points: if none of its values
-    repeats, no point does, and the rows are not grouped (None). Otherwise
-    the points come in lexicographic order and each group's rows in
-    ascending order; the last start is ``len(X)``. This is the grouping of
-    ``np.unique(X, axis=0)``; a lexsort over the columns is several times
-    faster than its structured sort.
+    repeats, no point does, and each row is a point of its own, in
+    ``order`` (the tree's leaf order); the sizes are then a read-only view
+    of a single 1, which takes no memory per row. Otherwise the points come
+    in lexicographic order and each point's rows in ascending order. This is
+    the grouping of ``np.unique(X, axis=0)``; a lexsort over the columns is
+    several times faster than its structured sort.
     """
     column = np.sort(X[:, 0])
     if not (column[1:] == column[:-1]).any():
-        return None
+        return order, np.broadcast_to(np.intp(1), order.shape)
     rows = np.lexsort(X.T[::-1])
     P = X[rows]
     first = np.ones(len(P) + 1, dtype=bool)
     first[1:-1] = (P[1:] != P[:-1]).any(axis=1)
-    return rows, np.flatnonzero(first)
+    return rows, np.diff(np.flatnonzero(first))
 
 
 def _query(tree: cKDTree, X: np.ndarray, x: np.ndarray, m: int, workers: int):
@@ -286,71 +244,61 @@ def _query(tree: cKDTree, X: np.ndarray, x: np.ndarray, m: int, workers: int):
     return dist, idx
 
 
-def _resolve_ties(tree: cKDTree, X: np.ndarray, rows, starts, k: int, indices, lengths):
-    """Write the exact neighbors of ``X[rows]`` into ``indices`` and ``lengths``.
+def _search_slice(tree: cKDTree, X: np.ndarray, rows, sizes, k: int, workers: int, indices, lengths):
+    """Write the exact neighbors of one slice of distinct points to their rows.
 
-    ``rows`` come grouped by point, each group's start in ``starts``, whose
-    last entry is ``len(rows)``. Rows at identical coordinates have
-    bitwise-identical distances to every point, so they share one query and
-    one sorted order: a pile of duplicates costs one query instead of one
-    per row. The distinct points are resolved in slices of
-    ``_QUERY_BLOCK_ROWS`` points by :func:`_resolve_slice`, a function of
-    its own so that each slice's arrays are freed before the next slice
-    starts. Only the grouped row indices and the groups' starts outlive a
-    slice. On a Gaussian
-    100,000 x 3 sample rounded to one decimal (98,316 tie rows at 47,672
-    distinct points), ``knn_all`` at k = 3 peaks at 18.2 MiB traced,
-    4.6 MiB of it output; one batch of all tie rows held 38 MiB.
-    """
-    for s in range(0, len(starts) - 1, _QUERY_BLOCK_ROWS):
-        bounds = starts[s : s + _QUERY_BLOCK_ROWS + 1]
-        part = rows[bounds[0] : bounds[-1]]
-        _resolve_slice(tree, X, part, bounds - bounds[0], k, indices, lengths)
-
-
-def _resolve_slice(tree: cKDTree, X: np.ndarray, rows, starts, k: int, indices, lengths):
-    """Resolve one slice of tie rows, grouped by point between ``starts``.
-
-    Each distinct point is asked for ``m = k + 2`` neighbors. Where the
-    farthest reported distance is not clearly beyond the (k+1)-th, a point
-    tied with the (k+1)-th may be missing, so ``m`` doubles for those points,
-    up to every point. A point of ``s`` rows waits until ``m > s`` (or
-    ``m = n``) before it is first asked: below that all ``m`` reported
-    distances are 0 and the round cannot end for it. A round queries
-    ``_QUERY_BLOCK_ROWS * (k + 2) // m`` points at a time, so its candidates
-    stay about one query block, on the calling thread: starting worker
-    threads costs more than a typical batch of tie rows. The candidates are
-    sorted by (length, index) and each row takes the first ``k`` entries
-    other than itself.
+    ``rows`` come grouped by point, each point's number of rows in
+    ``sizes``. Rows at identical coordinates have bitwise-identical
+    distances to every point, so a point is asked once for all its rows.
+    The first round asks every point for ``m = k + 2`` neighbors, in one
+    query with ``workers`` threads. Where all reported gaps are clear, the
+    point is alone at its coordinates and comes first in its own result,
+    and its row takes the next ``k`` in the tree's order. Any other point
+    sorts its candidates by (length, index) if the farthest is clearly
+    beyond the (k+1)-th; otherwise a point tied with the (k+1)-th may be
+    missing, so ``m`` doubles for it, up to every point, on the calling
+    thread. A point of ``s`` rows waits until ``m > s`` (or ``m = n``)
+    before it is first asked: below that all ``m`` reported distances are 0
+    and cannot settle it. A round queries ``_QUERY_BLOCK_ROWS * (k + 2) //
+    m`` points at a time, so its candidates stay about one first-round
+    query. A function of its own so that each slice's arrays are freed
+    before the next slice starts.
     """
     n = X.shape[0]
-    points, sizes = X[rows[starts[:-1]]], np.diff(starts)
-    # The first k + 1 candidates of each distinct point, by (length, index).
-    head_idx = np.empty((len(points), k + 1), dtype=np.intp)
-    head_sq = np.empty((len(points), k + 1), dtype=np.float64)
-    todo, m = np.arange(len(points)), min(k + 2, n)
+    starts = np.cumsum(sizes) - sizes
+    todo, m = np.arange(len(sizes)), min(k + 2, n)
     while todo.size:
         step = max(1, _QUERY_BLOCK_ROWS * (k + 2) // m)
         wait = (sizes[todo] >= m) & (m < n)
         wider, ready = [todo[wait]], todo[~wait]
         for start in range(0, ready.size, step):
             part = ready[start : start + step]
-            dist, cand = _query(tree, X, points[part], m, 1)
+            first = rows[starts[part]]
+            dist, cand = _query(tree, X, X[first], m, workers)
+            clear = (np.diff(dist, axis=1) > _TIE_RTOL * dist[:, 1:]).all(axis=1)
+            lone, sel = first[clear], cand[clear, 1 : k + 1]
+            diff = X[sel] - X[lone][:, None, :]
+            indices[lone] = sel
+            lengths[lone] = np.sqrt((diff * diff).sum(axis=-1))
+
             done = (m == n) | (dist[:, -1] - dist[:, k] > _TIE_RTOL * dist[:, -1])
             wider.append(part[~done])
-            part, cand = part[done], cand[done]
-            diff = X[cand] - points[part][:, None, :]
+            tied = done & ~clear
+            if not tied.any():
+                continue
+            part, cand = part[tied], cand[tied]
+            diff = X[cand] - X[first[tied]][:, None, :]
             sq = (diff * diff).sum(axis=-1)
             head = np.lexsort((cand, sq), axis=-1)[:, : k + 1]
-            head_idx[part] = np.take_along_axis(cand, head, axis=1)
-            head_sq[part] = np.take_along_axis(sq, head, axis=1)
-        todo, m = np.concatenate(wider), min(2 * m, n)
-
-    # Skip each row's own index if it sits among its point's first k + 1.
-    head_idx, head_sq = head_idx.repeat(sizes, axis=0), head_sq.repeat(sizes, axis=0)
-    slot = np.arange(k + 1)
-    own = np.where(head_idx == rows[:, None], slot, k).min(axis=1)
-    cols = slot[:k] + (slot[:k] >= own[:, None])
-    indices[rows] = np.take_along_axis(head_idx, cols, axis=1)
-    lengths[rows] = np.sqrt(np.take_along_axis(head_sq, cols, axis=1))
-
+            # Each row of these points takes the first k of its point's first
+            # k + 1 other than itself.
+            size = sizes[part]
+            own = rows[np.repeat(starts[part] - np.cumsum(size) + size, size) + np.arange(size.sum())]
+            head_idx = np.take_along_axis(cand, head, axis=1).repeat(size, axis=0)
+            head_sq = np.take_along_axis(sq, head, axis=1).repeat(size, axis=0)
+            slot = np.arange(k + 1)
+            skip = np.where(head_idx == own[:, None], slot, k).min(axis=1)
+            cols = slot[:k] + (slot[:k] >= skip[:, None])
+            indices[own] = np.take_along_axis(head_idx, cols, axis=1)
+            lengths[own] = np.sqrt(np.take_along_axis(head_sq, cols, axis=1))
+        todo, m, workers = np.concatenate(wider), min(2 * m, n), 1

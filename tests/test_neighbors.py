@@ -109,9 +109,9 @@ def test_tie_heavy_inputs_match_scan(case, k):
 @pytest.mark.parametrize("k", [1, 3, 4])
 def test_tie_resolution_in_small_chunks(monkeypatch, k):
     # Slices of 3 distinct points, each a pile of about 4 rows of the grid,
-    # spread the tie rows over about 30 slices. A round queries
-    # 3 (k + 2) // m points at a time: 3 in the first round, then single
-    # points as m doubles.
+    # spread the rows over about 30 slices. A round queries 3 (k + 2) // m
+    # points at a time: 3 in the first round, then single points as m
+    # doubles.
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", 3)
     assert_matches_scan(_integer_grid(np.random.default_rng(8)), k)
 
@@ -121,14 +121,18 @@ def test_tie_resolution_of_a_subset_of_rows():
     # Every 7th row, grouped by point: a pile's rows here are fewer than its
     # copies.
     rows = np.arange(0, len(X), 7)
-    order, starts = neighbors._point_groups(X[rows])
+    order, sizes = neighbors._point_groups(X[rows], np.arange(len(rows)))
+    assert (sizes > 1).any()
     rows = rows[order]
     idx = np.full((len(X), 3), -1, dtype=np.intp)
     lengths = np.full((len(X), 3), np.nan)
-    neighbors._resolve_ties(cKDTree(X), X, rows, starts, 3, idx, lengths)
+    neighbors._search_slice(cKDTree(X), X, rows, sizes, 3, 1, idx, lengths)
     idx_b, len_b = knn_all(X, 3, method="brute")
     assert np.array_equal(idx[rows], idx_b[rows])
     assert lengths[rows].tobytes() == len_b[rows].tobytes()
+    # The other rows are left as they were.
+    others = np.setdiff1d(np.arange(len(X)), rows)
+    assert (idx[others] == -1).all() and np.isnan(lengths[others]).all()
 
 
 def _record_queries(monkeypatch):
@@ -159,23 +163,37 @@ def test_large_pile_widens_the_tie_query(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["duplicate-piles", "integer-grid", "rounded-gaussian-copula"])
-def test_piles_skip_the_block_queries(monkeypatch, case):
+def test_large_piles_skip_the_first_query(monkeypatch, case):
     X = TIE_HEAVY[case](np.random.default_rng(16))
     n, k = len(X), 3
-    _, group, copies = np.unique(X, axis=0, return_inverse=True, return_counts=True)
-    copies = copies[group.ravel()]
+    points, copies = np.unique(X, axis=0, return_counts=True)
     assert (copies > 1).any()
     asked = _record_queries(monkeypatch)
     knn_all(X, k)
-    # One block (n < _QUERY_BLOCK_ROWS) holds exactly the rows alone at their point.
-    lone = X[copies == 1]
+    # One slice (n < _QUERY_BLOCK_ROWS) asks each point of fewer than k + 2
+    # rows once in its first query, and no other point.
     m, x = asked[0]
-    assert m == k + 2 and len(x) == len(lone) > 0
-    assert np.array_equal(np.unique(x, axis=0), np.unique(lone, axis=0))
-    # A tie point is asked for more neighbors than it has rows, or for all n.
+    assert m == k + 2
+    assert x.tobytes() == np.unique(x, axis=0).tobytes() == points[copies < k + 2].tobytes()
+    # A point is asked again for more neighbors than it has rows, or for all n.
     for m, x in asked[1:]:
         match = (x[:, None, :] == X[None, :, :]).all(axis=-1)
         assert ((match.sum(axis=1) < m) | (m == n)).all()
+
+
+@pytest.mark.parametrize("case", ["duplicate-piles", "rounded-gaussian-copula"])
+def test_each_point_is_asked_at_k_plus_2_at_most_once(monkeypatch, case):
+    X = TIE_HEAVY[case](np.random.default_rng(16))
+    k = 3
+    points, copies = np.unique(X, axis=0, return_counts=True)
+    asked = _record_queries(monkeypatch)
+    knn_all(X, k)
+    x = np.vstack([x for m, x in asked if m == k + 2])
+    times = (x[:, None, :] == points[None, :, :]).all(axis=-1).sum(axis=0)
+    # A point of fewer than k + 2 rows is asked once, whether or not the
+    # tree's order settles it; a larger pile waits for a wider query.
+    assert (times[copies < k + 2] == 1).all()
+    assert (times[copies >= k + 2] == 0).all()
 
 
 def test_repeated_first_coordinate_without_piles_matches_scan():
@@ -183,8 +201,8 @@ def test_repeated_first_coordinate_without_piles_matches_scan():
     X = np.random.default_rng(17).random((4000, 3))
     X[:, 0] = np.round(X[:, 0], 1)
     assert len(np.unique(X[:, 0])) < len(X) == len(np.unique(X, axis=0))
-    _, starts = neighbors._point_groups(X)
-    assert (np.diff(starts) == 1).all()
+    _, sizes = neighbors._point_groups(X, np.arange(len(X)))
+    assert (sizes == 1).all()
     assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
     assert_matches_scan(X, 3)
 
@@ -318,11 +336,11 @@ def test_unknown_method_rejected():
 
 
 def _rounded_piles(rng):
-    # Rows rounded to a 0.1 grid pile up on shared sites. Blocks follow the
-    # tree's leaf order, and eight copies of (1.1, 1.1), beyond every other
-    # row in both coordinates, end it: one pile then spans the last block and
-    # the one before at every block size. 99 rows leave a partial last block
-    # at 7 and at n - 1 rows.
+    # Rows rounded to a 0.1 grid pile up on shared sites. Eight copies of
+    # (1.1, 1.1), beyond every other row in both coordinates, end the tree's
+    # leaf order: split into blocks of rows in that order, the pile would
+    # span the last block and the one before at every block size. 99 rows
+    # leave a partial last slice at 7 and at n - 1 points.
     X = np.round(rng.random((91, 2)), 1)
     return np.vstack([X, np.full((8, 2), 1.1)])
 
@@ -335,47 +353,57 @@ BLOCK_CASES = {
 
 
 def _assert_blocks_match(monkeypatch, X, size, workers):
-    """Queried in blocks of ``size`` rows, knn_all equals one block and the scan."""
+    """Searched in slices of ``size`` points, knn_all equals one slice and the scan.
+
+    Returns, for each worker count, the ``(rows, sizes)`` of every slice and
+    the ``(k, x)`` of every query of its search.
+    """
     assert len(X) < neighbors._QUERY_BLOCK_ROWS
     unblocked = {w: knn_all(X, 3, workers=w) for w in workers}
     idx_b, len_b = knn_all(X, 3, method="brute")
-    tie_batches = []
-    real = neighbors._resolve_ties
+    real = neighbors._search_slice
 
-    def resolve_ties(tree, X, rows, starts, k, indices, lengths):
-        tie_batches.append(rows)
-        real(tree, X, rows, starts, k, indices, lengths)
+    def search_slice(tree, X, rows, sizes, *args):
+        slices.append((rows.copy(), np.array(sizes)))
+        real(tree, X, rows, sizes, *args)
 
-    monkeypatch.setattr(neighbors, "_resolve_ties", resolve_ties)
+    monkeypatch.setattr(neighbors, "_search_slice", search_slice)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
+    runs = []
     for w in workers:
+        slices, asked = [], _record_queries(monkeypatch)
         idx, lengths = knn_all(X, 3, workers=w)
         assert np.array_equal(idx, idx_b) and np.array_equal(idx, unblocked[w][0])
         assert lengths.tobytes() == len_b.tobytes() == unblocked[w][1].tobytes()
-    # Tie rows from all blocks reach the resolution once per search, each once.
-    assert len(tie_batches) <= len(workers)
-    for rows in tie_batches:
-        assert len(rows) == len(np.unique(rows))
-    return tie_batches
+        # Every row comes in exactly one slice, of at most `size` points.
+        assert all(len(sizes) <= size and sizes.sum() == len(rows) for rows, sizes in slices)
+        assert np.array_equal(np.sort(np.concatenate([r for r, _ in slices])), np.arange(len(X)))
+        runs.append((slices, asked))
+    return runs
 
 
 @pytest.mark.parametrize("size", ["1", "7", "n-1"])
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocked_query_matches_scan(monkeypatch, case, size):
     X = BLOCK_CASES[case](np.random.default_rng(12))
-    n = len(X)
+    n, k = len(X), 3
     size = {"1": 1, "7": 7, "n-1": n - 1}[size]
-    tie_batches = _assert_blocks_match(monkeypatch, X, size, workers=(1,))
+    [(slices, asked)] = _assert_blocks_match(monkeypatch, X, size, workers=(1,))
+    assert len(slices) == -(-len(np.unique(X, axis=0)) // size)
     if case == "continuous":
-        assert not tie_batches  # every row is taken from its own block's query
+        # No tie work: each row is asked once, in the first query of its slice.
+        assert [m for m, _ in asked] == [k + 2] * len(slices)
     if case == "rounded-piles":
-        # The pile of the last row in leaf order is split across two blocks,
-        # and all its rows are resolved as ties.
+        # The pile that ends the leaf order spans two blocks of rows in that
+        # order, but it is one point of the last slice, asked once, for
+        # more neighbors than its eight rows.
         order = cKDTree(X).indices
         pile = np.flatnonzero((X == X[order[-1]]).all(axis=1))
         block = np.argsort(order)[pile] // size
         assert block.max() == (n - 1) // size and block.min() < block.max()
-        assert np.isin(pile, tie_batches[0]).all()
+        assert np.array_equal(np.sort(slices[-1][0][-len(pile):]), pile)
+        at_pile = [m for m, x in asked if (x == X[pile[0]]).all(axis=1).any()]
+        assert len(at_pile) == 1 and at_pile[0] > len(pile)
 
 
 def test_blocks_are_consecutive_slices_of_the_leaf_order(monkeypatch):
@@ -392,7 +420,8 @@ def test_blocks_are_consecutive_slices_of_the_leaf_order(monkeypatch):
     knn_all(X, 3)
     order = queried[0][0]
     assert not np.array_equal(order, np.arange(len(X)))
-    # Continuous data has no tie rows, so every query is a block.
+    # Continuous data has no ties, so each point is asked once, in the first
+    # query of its slice.
     assert len(queried) == -(-len(X) // 7)
     for start, (indices, x) in zip(range(0, len(X), 7), queried):
         assert np.array_equal(indices, order)
@@ -404,7 +433,9 @@ def test_blocked_query_matches_scan_at_threaded_size(monkeypatch, size):
     X = np.random.default_rng(13).random((4000, 3))
     assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
     size = {"1": 1, "7": 7, "n-1": len(X) - 1}[size]
-    assert not _assert_blocks_match(monkeypatch, X, size, workers=(1, -1))
+    for slices, asked in _assert_blocks_match(monkeypatch, X, size, workers=(1, -1)):
+        # No tie work: each row is asked once, in the first query of its slice.
+        assert [m for m, _ in asked] == [3 + 2] * len(slices)
 
 
 def _traced_peak(X):
@@ -419,22 +450,22 @@ def _traced_peak(X):
 
 def test_scratch_is_bounded_by_one_block():
     # The (100000, 3) outputs take 4.6 MiB. Querying every row at once held
-    # about 37 MiB; one block of rows holds under 14 MiB in all.
+    # about 37 MiB; one slice of points holds under 13 MiB in all.
     X = np.random.default_rng(14).random((100_000, 3))
     assert _traced_peak(X) < 20 * 2**20
 
 
 def test_tie_scratch_is_bounded():
-    # 98% of the rows of a rounded sample are tie rows. Resolving them in one
-    # batch, with each round sliced only at 2**24 coordinates, held 38 MiB;
-    # slices of 16,384 distinct points hold under 19 MiB in all, with
+    # 98% of the rows of a rounded sample are tied or piled. Resolving them in
+    # one batch, with each round sliced only at 2**24 coordinates, held
+    # 38 MiB; slices of 16,384 distinct points hold under 16 MiB in all, with
     # 4.6 MiB of output.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
     assert _traced_peak(X) < 24 * 2**20
 
 
 def test_copula_tie_scratch_is_bounded():
-    # The copula of the same sample: 29 MiB in one batch, under 19 MiB in
+    # The copula of the same sample: 29 MiB in one batch, under 18 MiB in
     # slices.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
     assert _traced_peak(empirical_copula(X).points) < 22 * 2**20
