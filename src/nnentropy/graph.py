@@ -67,6 +67,9 @@ def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
             f"rank {spec.k} requested but the sample has only {ps.n} points"
         )
     idx, lengths = knn_all(ps, spec.k, workers=workers)
+    if len(spec) == spec.k:
+        # Every rank 1..k: the search's arrays are the graph's.
+        return NNGraph(ps, spec, idx, lengths)
     cols = np.asarray(spec.indices, dtype=np.intp) - 1
     return NNGraph(ps, spec, idx[:, cols], lengths[:, cols])
 

@@ -3,39 +3,45 @@
 :func:`knn_all` is the package's one neighbor search and the only place
 that selects a search method. Distance ties are broken by ascending point
 index, and every code path computes squared lengths with the same
-expression, ``(diff * diff).sum(axis=-1)``, so the kd-tree search and the
-exhaustive reference scan return bitwise-identical indices and lengths.
+arithmetic, the coordinate differences squared and summed over the last
+axis, so the kd-tree search and the exhaustive reference scan return
+bitwise-identical indices and lengths.
 Distances that overflow or underflow float64 stop the search with
 :class:`DegenerateSampleError`.
 
 The kd-tree serves every dimension, with leaves that grow with it (16
-points per 4 dimensions), and the search asks it about each distinct point
-in one pass. The rows are first grouped by the point they hold. Sorting the
+points per 4 dimensions), and holds each distinct point once. Sorting the
 first coordinate screens for duplicate points: if no value of it repeats,
-no point does, and each row is a point of its own, taken in the tree's own
-leaf order (``cKDTree.indices``), so that consecutive queries start from
-neighboring points and walk the tree's memory in order. Otherwise the rows
-are grouped by point in lexicographic order.
+no point does, and the tree is built over the rows themselves. Otherwise
+the rows are grouped by the point they hold, in lexicographic order, and
+the tree is built over one copy of each point; a point's rows are its
+multiplicity. The search asks about the tree's points in its own leaf
+order (``cKDTree.indices``), so that consecutive queries start from
+neighboring points and walk the tree's memory in order.
 
-The distinct points are searched one slice at a time, and each is first
-asked for its ``k + 2`` nearest neighbors. The tree's reported distances
-are trusted only where they are separated by a clear relative gap: a point
-whose gaps are all clear is alone at its coordinates, and its row takes the
-tree's order as it is. Any other point (ties, near-ties at floating-point
-resolution and duplicate points) sorts its candidates by (length, index)
-once the farthest is clearly beyond the (k+1)-th, and until then asks for
-twice as many, so that every point tied with its k-th neighbor is among
-them. A point of ``s`` rows (a pile) is first asked for more than ``s``
-neighbors; below that all its reported distances are 0 and cannot settle
-it. Every row takes its point's result, written back at its input position.
+The distinct points are searched one slice at a time, and each is asked
+once for its ``k + 2`` nearest neighbors. A point's rows all take its
+first ``k + 1`` rows by (length, index), each but itself: its own rows,
+at length 0, then the rows of its nearest points, each point's rows in
+ascending order. A point of more than ``k`` rows (a pile) is settled by
+its own rows. The tree's reported distances are trusted only where they
+are separated by a clear relative gap: where the gaps are clear up to the
+first point beyond the one that completes the ``k + 1`` rows, the rows are
+read in the tree's order. Otherwise (ties and near-ties at floating-point
+resolution) the rows of the points not clearly beyond it are sorted by
+(length, index), once the farthest reported point is clearly beyond it,
+and until then the point asks for twice as many, so that every point tied
+with the one that completes its rows is among them. Every row is written
+back at its input position.
 
 Beyond the tree and the output arrays, the search holds one slice of
 points with their candidates, and where points repeat the grouped row
-indices and each point's number of rows. At k = 3 it peaks (traced) at
-12.6 MiB for 100,000 x 3 uniform points and at 20.2 MiB for 200,000,
-4.6 and 9.2 MiB of it output. On a Gaussian sample rounded to one decimal,
-where 98% of the rows are tied or piled, it peaks at 15.1 MiB for
-100,000 x 3 points and at 45 MiB for 400,000.
+indices, one copy of each point and each point's number of rows. At k = 3
+it peaks (traced) at 12.9 MiB for 100,000 x 3 uniform points and at
+20.5 MiB for 200,000, 4.6 and 9.2 MiB of it output. On a Gaussian sample
+rounded to one decimal, where 98% of the rows are tied or piled, it peaks
+at 15.9 MiB for 100,000 x 3 points (15.5 MiB for its copula) and at
+42 MiB for 400,000.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ _BLOCK_ELEMENTS = 2**24
 
 # Distinct points per slice of the search; a slice's first round asks all its
 # points in one kd-tree query. The search holds the reported neighbors, the
-# gap test and the recomputed lengths of one slice at a time. Measured on 2
+# gap test and the recomputed lengths of one slice at a time, and reads or
+# sorts the rows of about this many candidates at a time. Measured on 2
 # cores at n = 200,000, d = 3, k = 3, in leaf order: slices of 16,384 points
 # hold 20.2 MiB in all where one query over every row held 75 MiB. Split into
 # blocks of 16,384 rows, a threaded query costs 12% more CPU time than one
@@ -100,12 +107,13 @@ _LEAF_POINTS = 16
 def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     """Indices and lengths of each point's ``k`` nearest other points.
 
-    The kd-tree search groups the rows by the point they hold and asks the
-    tree about each distinct point once for ``k + 2`` neighbors, and again,
-    for twice as many, only while a tie leaves it unsettled. Besides the
-    tree and the output arrays it holds one slice of points with their
-    candidates at a time, and where points repeat the grouped row indices
-    and each point's number of rows.
+    The kd-tree search builds its tree over the distinct points and asks it
+    about each of them once for ``k + 2`` neighbors, and again, for twice as
+    many, only while a tie with a point the query has not reported may
+    leave it unsettled; a point of more than ``k`` rows never asks again.
+    Besides the tree and the output arrays it holds one slice of points
+    with their candidates at a time, and where points repeat the grouped
+    row indices, one copy of each point and each point's number of rows.
 
     Parameters
     ----------
@@ -180,125 +188,216 @@ def _knn_brute(X: np.ndarray, k: int):
 def _knn_kdtree(X: np.ndarray, k: int, workers: int):
     """kd-tree search, exact at every dimension.
 
-    :func:`_point_groups` groups the rows by the point they hold, and
-    :func:`_search_slice` searches the distinct points in slices of
-    ``_QUERY_BLOCK_ROWS``, consecutive in the grouping's order.
+    :func:`_point_groups` finds the distinct points, the tree holds each of
+    them once, and :func:`_search_slice` asks about them in slices of
+    ``_QUERY_BLOCK_ROWS``, consecutive in the tree's leaf order.
     """
     n, d = X.shape
     if X.size < _THREADED_QUERY_ELEMENTS:
         workers = 1
-    tree = cKDTree(X, leafsize=_LEAF_POINTS * max(1, d // 4))
-    rows, sizes = _point_groups(X, tree.indices)
+    points, groups = _point_groups(X)
+    tree = cKDTree(points, leafsize=_LEAF_POINTS * max(1, d // 4))
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
-    stop = 0
-    for s in range(0, sizes.size, _QUERY_BLOCK_ROWS):
-        part = sizes[s : s + _QUERY_BLOCK_ROWS]
-        start, stop = stop, stop + part.sum()
-        _search_slice(tree, X, rows[start:stop], part, k, workers, indices, lengths)
+    for s in range(0, len(points), _QUERY_BLOCK_ROWS):
+        part = tree.indices[s : s + _QUERY_BLOCK_ROWS]
+        _search_slice(tree, points, groups, part, k, workers, indices, lengths)
     return indices, lengths
 
 
-def _point_groups(X: np.ndarray, order):
-    """Every row grouped by the point it holds, and each point's number of rows.
+def _point_groups(X: np.ndarray):
+    """The distinct points of ``X`` and the rows that hold each of them.
 
-    Sorting column 0 screens for duplicate points: if none of its values
-    repeats, no point does, and each row is a point of its own, in
-    ``order`` (the tree's leaf order); the sizes are then a read-only view
-    of a single 1, which takes no memory per row. Otherwise the points come
-    in lexicographic order and each point's rows in ascending order. This is
-    the grouping of ``np.unique(X, axis=0)``; a lexsort over the columns is
-    several times faster than its structured sort.
+    Returns ``points, (rows, starts, sizes)``: the rows of point ``g`` are
+    ``rows[starts[g] : starts[g] + sizes[g]]``, in ascending order. Sorting
+    column 0 screens for duplicate points: if none of its values repeats, no
+    point does. When no point repeats, the points are ``X`` itself, point
+    ``g`` is row ``g`` (``rows`` and ``starts`` are None), and ``sizes`` is a
+    read-only view of a single 1, which takes no memory per row. Otherwise
+    the points come in lexicographic order. This is the grouping of
+    ``np.unique(X, axis=0)``; a lexsort over the columns is several times
+    faster than its structured sort.
     """
+    n = X.shape[0]
     column = np.sort(X[:, 0])
-    if not (column[1:] == column[:-1]).any():
-        return order, np.broadcast_to(np.intp(1), order.shape)
-    rows = np.lexsort(X.T[::-1])
-    P = X[rows]
-    first = np.ones(len(P) + 1, dtype=bool)
-    first[1:-1] = (P[1:] != P[:-1]).any(axis=1)
-    return rows, np.diff(np.flatnonzero(first))
+    if (column[1:] == column[:-1]).any():
+        rows = np.lexsort(X.T[::-1])
+        P = X[rows]
+        first = np.ones(n, dtype=bool)
+        first[1:] = (P[1:] != P[:-1]).any(axis=1)
+        if not first.all():
+            starts = np.flatnonzero(first)
+            return P[starts], (rows, starts, np.diff(starts, append=n))
+    return X, (None, None, np.broadcast_to(np.intp(1), (n,)))
 
 
-def _query(tree: cKDTree, X: np.ndarray, x: np.ndarray, m: int, workers: int):
-    """The tree's ``m`` nearest neighbors in ``X`` of each row of ``x``, by distance.
+def _rows(groups, points, places):
+    """The input row at ``places`` among the rows of each of ``points``."""
+    rows, starts, _ = groups
+    return points if rows is None else rows[starts[points] + places]
 
-    A distance the tree reports as infinite has overflowed float64, and a
-    zero distance between points whose coordinates differ has underflowed:
-    no tie test or length can recover either, so the search stops there,
-    before any tie query grows.
+
+def _spread(counts):
+    """For each of ``counts.sum()`` slots, its entry of ``counts`` and its place there."""
+    entry = np.repeat(np.arange(counts.size), counts)
+    return entry, np.arange(entry.size) - (np.cumsum(counts) - counts)[entry]
+
+
+def _query(tree: cKDTree, x: np.ndarray, m: int, workers: int):
+    """The tree's ``m`` nearest points to each of its points ``x``, by distance.
+
+    Returns distances and indices of shape ``(m, len(x))``: one row per
+    neighbor rank, so that the search's work on each rank runs over
+    contiguous memory. A distance the tree reports as infinite has
+    overflowed float64. The tree's points are distinct, and each row of
+    ``x`` finds itself first, at distance 0: a second zero lies between
+    differing coordinates and has underflowed. No tie test or length can
+    recover either, so the search stops there, before any tie query grows.
     """
     dist, idx = tree.query(x, k=m, workers=workers)
-    if not np.isfinite(dist[:, -1]).all():
+    # Asked for one neighbor, the tree drops the neighbor axis.
+    dist = np.ascontiguousarray(dist.reshape(len(x), m).T)
+    idx = np.ascontiguousarray(idx.reshape(len(x), m).T)
+    if not np.isfinite(dist[-1]).all():
         raise DegenerateSampleError(
             "the sample's neighbor distances overflow float64; rescale the data"
         )
-    # Each row of x is a point of X and finds a copy of itself at distance 0;
-    # only rows with a second zero can hold a zero between differing points.
-    piled = dist[:, 1] == 0
-    at, col = np.nonzero(dist[piled] == 0)
-    if (X[idx[piled][at, col]] != x[piled][at]).any():
+    if m > 1 and (dist[1] == 0).any():
         raise DegenerateSampleError(
             "the sample's neighbor distances underflow float64; rescale the data"
         )
     return dist, idx
 
 
-def _search_slice(tree: cKDTree, X: np.ndarray, rows, sizes, k: int, workers: int, indices, lengths):
-    """Write the exact neighbors of one slice of distinct points to their rows.
+def _search_slice(tree: cKDTree, points, groups, part, k: int, workers: int, indices, lengths):
+    """Write the exact neighbors of the rows of one slice of distinct points.
 
-    ``rows`` come grouped by point, each point's number of rows in
-    ``sizes``. Rows at identical coordinates have bitwise-identical
-    distances to every point, so a point is asked once for all its rows.
+    ``part`` are points of the tree, whose rows ``groups`` gives. Rows at
+    identical coordinates have bitwise-identical distances to every point,
+    so a point is asked once for all its rows, and all of them take its
+    first ``k + 1`` rows by (length, index), its head, each but itself. The
+    head starts with the point's own rows, at length 0, and goes on with the
+    rows of the points nearest to it, each point's rows in ascending order.
+
     The first round asks every point for ``m = k + 2`` neighbors, in one
-    query with ``workers`` threads. Where all reported gaps are clear, the
-    point is alone at its coordinates and comes first in its own result,
-    and its row takes the next ``k`` in the tree's order. Any other point
-    sorts its candidates by (length, index) if the farthest is clearly
-    beyond the (k+1)-th; otherwise a point tied with the (k+1)-th may be
-    missing, so ``m`` doubles for it, up to every point, on the calling
-    thread. A point of ``s`` rows waits until ``m > s`` (or ``m = n``)
-    before it is first asked: below that all ``m`` reported distances are 0
-    and cannot settle it. A round queries ``_QUERY_BLOCK_ROWS * (k + 2) //
-    m`` points at a time, so its candidates stay about one first-round
-    query. A function of its own so that each slice's arrays are freed
-    before the next slice starts.
+    query with ``workers`` threads. The neighbor that completes a point's
+    head is reported at distance ``reach``. Where the reported gaps up to
+    the first neighbor beyond it are clear, the tree's order is exact and
+    the head is read from it; a point of more than ``k`` rows is its own
+    head and always takes this path. Otherwise, if the farthest neighbor is
+    clearly beyond ``reach``, the rows of the neighbors that are not are
+    sorted by (length, index). Otherwise a point tied with the one that
+    completes the head may be missing, so ``m`` doubles for it, up to every
+    point, on the calling thread. A round queries ``_QUERY_BLOCK_ROWS * (k
+    + 2) // m`` points at a time, so its candidates stay about one
+    first-round query. A function of its own so that each slice's arrays
+    are freed before the next slice starts.
     """
-    n = X.shape[0]
-    starts = np.cumsum(sizes) - sizes
-    todo, m = np.arange(len(sizes)), min(k + 2, n)
+    sizes = groups[2]
+    todo, m = part, min(k + 2, len(points))
     while todo.size:
         step = max(1, _QUERY_BLOCK_ROWS * (k + 2) // m)
-        wait = (sizes[todo] >= m) & (m < n)
-        wider, ready = [todo[wait]], todo[~wait]
-        for start in range(0, ready.size, step):
-            part = ready[start : start + step]
-            first = rows[starts[part]]
-            dist, cand = _query(tree, X, X[first], m, workers)
-            clear = (np.diff(dist, axis=1) > _TIE_RTOL * dist[:, 1:]).all(axis=1)
-            lone, sel = first[clear], cand[clear, 1 : k + 1]
-            diff = X[sel] - X[lone][:, None, :]
-            indices[lone] = sel
-            lengths[lone] = np.sqrt((diff * diff).sum(axis=-1))
+        wider = []
+        for start in range(0, todo.size, step):
+            at = todo[start : start + step]
+            dist, cand = _query(tree, points[at], m, workers)
+            # Every neighbor holds a row, so the head is complete within the
+            # first k + 1, at `last`. (np.cumsum over the short first axis
+            # is ten times slower than adding row by row.)
+            upto = sizes[cand[: k + 1]]
+            for j in range(1, len(upto)):
+                upto[j] += upto[j - 1]
+            last = (upto <= k).sum(axis=0)
+            reach = dist[last, np.arange(len(at))]
+            done = (m == len(points)) | (dist[-1] - reach > _TIE_RTOL * dist[-1])
+            wider.append(at[~done])
+            tied = np.diff(dist[: k + 2], axis=0) <= _TIE_RTOL * dist[1 : k + 2]
+            clear = done & ~(tied & (np.arange(len(tied))[:, None] <= last)).any(axis=0)
+            # Where the point and its k - 1 nearest are single rows, its row
+            # takes the first row of each of the next k as the tree reports
+            # them: every row of an input with no repeated point.
+            lone = clear & (last == k)
+            if lone.any():
+                near = cand[1 : k + 1, lone]
+                diff = points[near] - points[at[lone]]
+                diff *= diff
+                own = _rows(groups, at[lone], 0)
+                indices[own] = _rows(groups, near, 0).T
+                lengths[own] = np.sqrt(diff.sum(axis=-1)).T
+            read = clear & ~lone
+            if read.any():
+                _read_heads(points, groups, at[read], cand[: k + 1, read], upto[:, read], k, indices, lengths)
+            sort = done & ~clear
+            if sort.any():
+                near = dist[:, sort] - reach[sort] <= _TIE_RTOL * dist[:, sort]
+                _sort_heads(points, groups, at[sort], cand[:, sort], near, k, indices, lengths)
+        todo, m, workers = np.concatenate(wider), min(2 * m, len(points)), 1
 
-            done = (m == n) | (dist[:, -1] - dist[:, k] > _TIE_RTOL * dist[:, -1])
-            wider.append(part[~done])
-            tied = done & ~clear
-            if not tied.any():
-                continue
-            part, cand = part[tied], cand[tied]
-            diff = X[cand] - X[first[tied]][:, None, :]
-            sq = (diff * diff).sum(axis=-1)
-            head = np.lexsort((cand, sq), axis=-1)[:, : k + 1]
-            # Each row of these points takes the first k of its point's first
-            # k + 1 other than itself.
-            size = sizes[part]
-            own = rows[np.repeat(starts[part] - np.cumsum(size) + size, size) + np.arange(size.sum())]
-            head_idx = np.take_along_axis(cand, head, axis=1).repeat(size, axis=0)
-            head_sq = np.take_along_axis(sq, head, axis=1).repeat(size, axis=0)
-            slot = np.arange(k + 1)
-            skip = np.where(head_idx == own[:, None], slot, k).min(axis=1)
-            cols = slot[:k] + (slot[:k] >= skip[:, None])
-            indices[own] = np.take_along_axis(head_idx, cols, axis=1)
-            lengths[own] = np.sqrt(np.take_along_axis(head_sq, cols, axis=1))
-        todo, m, workers = np.concatenate(wider), min(2 * m, n), 1
+
+def _read_heads(points, groups, at, cand, upto, k: int, indices, lengths):
+    """Heads of the points ``at`` in the tree's order of their neighbors ``cand``.
+
+    ``upto`` counts the rows of ``cand`` up to each; the head takes all of
+    a point's rows up to its ``k + 1``-th. The points are read in chunks of
+    ``_QUERY_BLOCK_ROWS`` head rows.
+    """
+    step = max(1, _QUERY_BLOCK_ROWS // (k + 1))
+    for a in range(0, len(at), step):
+        near, size = cand[:, a : a + step], groups[2][cand[:, a : a + step]]
+        take = np.clip(k + 1 - upto[:, a : a + step] + size, 0, size)
+        entry, place = _spread(take.T.ravel())
+        near = near.T.ravel()[entry].reshape(-1, k + 1)
+        diff = points[near] - points[at[a : a + step]][:, None, :]
+        diff *= diff
+        head = _rows(groups, near, place.reshape(-1, k + 1))
+        _write(groups, at[a : a + step], head, diff.sum(axis=-1), k, indices, lengths)
+
+
+def _sort_heads(points, groups, at, cand, near, k: int, indices, lengths):
+    """Heads of the points ``at`` by the exact (length, index) sort of their rows.
+
+    ``near`` marks the neighbors in ``cand`` that are not clearly beyond the
+    one that completes the head. Their rows are sorted: all of a point's own
+    rows, and at most as many of another's as the head has room for beside
+    the point's own. Rows of equally distant points interleave by index, so
+    the sort runs over rows, not points. The points are sorted in chunks of
+    about ``_QUERY_BLOCK_ROWS`` rows.
+    """
+    sizes = groups[2]
+    pos, col = np.nonzero(near.T)
+    near = cand[col, pos]
+    own = sizes[at]
+    take = np.where(col == 0, own[pos], np.minimum(sizes[near], k + 1 - own[pos]))
+    count = np.bincount(pos, weights=take, minlength=len(at)).astype(np.intp)
+    bounds = np.cumsum(count)
+    a = 0
+    while a < len(at):
+        b = bounds[a] - count[a] + _QUERY_BLOCK_ROWS
+        b = max(a + 1, int(np.searchsorted(bounds, b, side="right")))
+        lo, hi = np.searchsorted(pos, [a, b])
+        p, g, t = pos[lo:hi] - a, near[lo:hi], take[lo:hi]
+        diff = points[g] - points[at[a:b]][p]
+        diff *= diff
+        sq = diff.sum(axis=-1)
+        entry, place = _spread(t)
+        row, sq, p = _rows(groups, g[entry], place), sq[entry], p[entry]
+        order = np.lexsort((row, sq, p))
+        first = (np.cumsum(count[a:b]) - count[a:b])[:, None] + np.arange(k + 1)
+        head = order[first]
+        _write(groups, at[a:b], row[head], sq[head], k, indices, lengths)
+        a = b
+
+
+def _write(groups, at, head, head_sq, k: int, indices, lengths):
+    """Each row of the points ``at`` takes its point's head but itself.
+
+    A point's rows come first in its head, in ascending order, so its row
+    at place ``i`` skips slot ``i``; a row of a pile larger than the head
+    is not in it and takes its first ``k``.
+    """
+    entry, place = _spread(groups[2][at])
+    slot = np.arange(k + 1)
+    cols = slot[:k] + (slot[:k] >= np.minimum(place, k)[:, None])
+    own = _rows(groups, at[entry], place)
+    indices[own] = head[entry[:, None], cols]
+    lengths[own] = np.sqrt(head_sq[entry[:, None], cols])

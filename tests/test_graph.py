@@ -14,6 +14,8 @@ from nnentropy import (
     OutsideCubeError,
     build_boundary_graph,
     build_nn_graph,
+    graph,
+    knn_all,
     l_p,
 )
 
@@ -43,6 +45,22 @@ class TestBuildNNGraph:
         g = build_nn_graph(rng.random((50, 3)), NeighborSpec((1, 3)))
         assert g.neighbor_index.shape == (50, 2)
         assert (g.neighbor_index >= 0).all()
+
+    def test_every_rank_up_to_k_keeps_the_search_arrays(self, monkeypatch):
+        X = np.random.default_rng(1).random((60, 3))
+        found = []
+
+        def search(*args, **kwargs):
+            found.append(knn_all(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(graph, "knn_all", search)
+        g = build_nn_graph(X, NeighborSpec((1, 2, 3)))
+        assert g.neighbor_index is found[-1][0] and g.length is found[-1][1]
+        # A subset of the ranks takes their columns.
+        sub = build_nn_graph(X, NeighborSpec((1, 3)))
+        assert np.array_equal(sub.neighbor_index, found[-1][0][:, [0, 2]])
+        assert sub.length.tobytes() == np.ascontiguousarray(found[-1][1][:, [0, 2]]).tobytes()
 
     def test_needs_more_points_than_max_rank(self):
         with pytest.raises(InsufficientPointsError, match="rank 3"):

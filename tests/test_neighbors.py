@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
@@ -116,30 +116,39 @@ def test_tie_resolution_in_small_chunks(monkeypatch, k):
     assert_matches_scan(_integer_grid(np.random.default_rng(8)), k)
 
 
-def test_tie_resolution_of_a_subset_of_rows():
+def test_tie_resolution_of_a_subset_of_points():
     X = _rounded_gaussian_copula(np.random.default_rng(4))
-    # Every 7th row, grouped by point: a pile's rows here are fewer than its
-    # copies.
-    rows = np.arange(0, len(X), 7)
-    order, sizes = neighbors._point_groups(X[rows], np.arange(len(rows)))
-    assert (sizes > 1).any()
-    rows = rows[order]
+    points, groups = neighbors._point_groups(X)
+    assert (groups[2] > 1).any()
+    # Every 7th distinct point, piles among them, searched on its own: all
+    # their rows get their neighbors.
+    part = np.arange(0, len(points), 7)
+    assert (groups[2][part] > 1).any()
     idx = np.full((len(X), 3), -1, dtype=np.intp)
     lengths = np.full((len(X), 3), np.nan)
-    neighbors._search_slice(cKDTree(X), X, rows, sizes, 3, 1, idx, lengths)
+    neighbors._search_slice(cKDTree(points), points, groups, part, 3, 1, idx, lengths)
+    rows = (X[:, None, :] == points[part][None, :, :]).all(axis=-1).any(axis=1)
+    assert rows.sum() == groups[2][part].sum()
     idx_b, len_b = knn_all(X, 3, method="brute")
     assert np.array_equal(idx[rows], idx_b[rows])
     assert lengths[rows].tobytes() == len_b[rows].tobytes()
     # The other rows are left as they were.
-    others = np.setdiff1d(np.arange(len(X)), rows)
-    assert (idx[others] == -1).all() and np.isnan(lengths[others]).all()
+    assert (idx[~rows] == -1).all() and np.isnan(lengths[~rows]).all()
 
 
-def _record_queries(monkeypatch):
-    """Patch the search's tree to record each query's ``(k, x)``; return the list."""
+def _record_queries(monkeypatch, trees=None):
+    """Patch the search's tree to record each query's ``(k, x)``; return the list.
+
+    Each tree built is appended to ``trees`` if given.
+    """
     asked = []
 
     class Tree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if trees is not None:
+                trees.append(self)
+
         def query(self, x, k, workers):
             asked.append((k, x.copy()))
             return super().query(x, k=k, workers=workers)
@@ -148,61 +157,65 @@ def _record_queries(monkeypatch):
     return asked
 
 
-def test_large_pile_widens_the_tie_query(monkeypatch):
-    # 500 copies of one point: each copy's first k + 1 by (length, index)
-    # are the lowest-indexed copies, which a (k + 2)-nearest query need not
-    # report, so the query grows until it holds the whole pile. Asked for
-    # 500 neighbors or fewer, the pile's point is told only distances of 0,
-    # so it is first asked at the doubling's first m above 500 (m = n = 550).
+def test_large_pile_is_never_widened(monkeypatch):
+    # 500 copies of one point: each copy's k nearest are the lowest-indexed
+    # other copies, at length 0. The tree holds the pile once, so its point
+    # is asked for k + 2 neighbors like any other, and a pile of more than k
+    # rows is settled by its own rows: no query asks it for more.
     rng = np.random.default_rng(10)
     X = np.vstack([np.repeat(rng.random((1, 3)), 500, axis=0), rng.random((50, 3))])
     asked = _record_queries(monkeypatch)
     assert_matches_scan(X, 3)
     pile = [k for k, x in asked if (x == X[0]).all(axis=1).any()]
-    assert pile and min(pile) > 500
+    # Once for each worker count of the kd-tree search.
+    assert pile == [3 + 2, 3 + 2]
 
 
 @pytest.mark.parametrize("case", ["duplicate-piles", "integer-grid", "rounded-gaussian-copula"])
-def test_large_piles_skip_the_first_query(monkeypatch, case):
+def test_only_points_of_at_most_k_rows_are_widened(monkeypatch, case):
     X = TIE_HEAVY[case](np.random.default_rng(16))
-    n, k = len(X), 3
-    points, copies = np.unique(X, axis=0, return_counts=True)
+    k = 3
+    copies = np.unique(X, axis=0, return_counts=True)[1]
     assert (copies > 1).any()
     asked = _record_queries(monkeypatch)
     knn_all(X, k)
-    # One slice (n < _QUERY_BLOCK_ROWS) asks each point of fewer than k + 2
-    # rows once in its first query, and no other point.
-    m, x = asked[0]
-    assert m == k + 2
-    assert x.tobytes() == np.unique(x, axis=0).tobytes() == points[copies < k + 2].tobytes()
-    # A point is asked again for more neighbors than it has rows, or for all n.
+    # One slice (n < _QUERY_BLOCK_ROWS) asks every point in its first query;
+    # a point asked again holds at most k rows, for a tie its first query
+    # could not settle.
+    assert asked[0][0] == k + 2
     for m, x in asked[1:]:
+        assert m > k + 2
         match = (x[:, None, :] == X[None, :, :]).all(axis=-1)
-        assert ((match.sum(axis=1) < m) | (m == n)).all()
+        assert (match.sum(axis=1) <= k).all()
 
 
-@pytest.mark.parametrize("case", ["duplicate-piles", "rounded-gaussian-copula"])
-def test_each_point_is_asked_at_k_plus_2_at_most_once(monkeypatch, case):
+@pytest.mark.parametrize("case", ["duplicate-piles", "integer-grid", "rounded-gaussian-copula"])
+def test_each_point_is_asked_at_k_plus_2_exactly_once(monkeypatch, case):
     X = TIE_HEAVY[case](np.random.default_rng(16))
     k = 3
-    points, copies = np.unique(X, axis=0, return_counts=True)
-    asked = _record_queries(monkeypatch)
+    points = np.unique(X, axis=0)
+    assert len(points) < len(X)
+    trees = []
+    asked = _record_queries(monkeypatch, trees)
     knn_all(X, k)
+    # The tree holds each distinct point once, piles included.
+    [tree] = trees
+    assert len(tree.data) == len(points)
+    assert np.unique(tree.data, axis=0).tobytes() == points.tobytes()
     x = np.vstack([x for m, x in asked if m == k + 2])
     times = (x[:, None, :] == points[None, :, :]).all(axis=-1).sum(axis=0)
-    # A point of fewer than k + 2 rows is asked once, whether or not the
-    # tree's order settles it; a larger pile waits for a wider query.
-    assert (times[copies < k + 2] == 1).all()
-    assert (times[copies >= k + 2] == 0).all()
+    assert len(x) == len(points) and (times == 1).all()
 
 
 def test_repeated_first_coordinate_without_piles_matches_scan():
-    # Only column 0 is rounded: its values repeat but no two rows are equal.
+    # Only column 0 is rounded: its values repeat but no two rows are equal,
+    # so the tree holds every row, as for an input with no repeated value.
     X = np.random.default_rng(17).random((4000, 3))
     X[:, 0] = np.round(X[:, 0], 1)
     assert len(np.unique(X[:, 0])) < len(X) == len(np.unique(X, axis=0))
-    _, sizes = neighbors._point_groups(X, np.arange(len(X)))
-    assert (sizes == 1).all()
+    points, (rows, starts, sizes) = neighbors._point_groups(X)
+    assert points is X and rows is None and starts is None
+    assert sizes.strides == (0,) and (sizes == 1).all()
     assert X.size >= neighbors._THREADED_QUERY_ELEMENTS
     assert_matches_scan(X, 3)
 
@@ -221,6 +234,21 @@ def test_underflowing_distances_raise_before_tie_queries_grow(monkeypatch):
     with pytest.raises(DegenerateSampleError, match="underflow float64"):
         knn_all(X, 3)
     assert asked and max(k for k, _ in asked) <= 3 + 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_shuffled_copies_match_scan(d, data):
+    # Random points on a small lattice, so that distinct points tie too,
+    # each repeated 1 to 12 times, in shuffled order.
+    count = data.draw(st.integers(1, 12), label="points")
+    sites = data.draw(hnp.arrays(np.float64, (count, d), elements=st.integers(-3, 3).map(float)))
+    copies = data.draw(st.lists(st.integers(1, 12), min_size=count, max_size=count), label="copies")
+    X = np.repeat(sites, copies, axis=0)
+    X = X[data.draw(st.permutations(range(len(X))), label="order")]
+    assume(len(X) > 1)
+    k = data.draw(st.integers(1, min(6, len(X) - 1)), label="k")
+    assert_matches_scan(X, k)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 21])
@@ -355,7 +383,7 @@ BLOCK_CASES = {
 def _assert_blocks_match(monkeypatch, X, size, workers):
     """Searched in slices of ``size`` points, knn_all equals one slice and the scan.
 
-    Returns, for each worker count, the ``(rows, sizes)`` of every slice and
+    Returns, for each worker count, the distinct points of every slice and
     the ``(k, x)`` of every query of its search.
     """
     assert len(X) < neighbors._QUERY_BLOCK_ROWS
@@ -363,9 +391,9 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
     idx_b, len_b = knn_all(X, 3, method="brute")
     real = neighbors._search_slice
 
-    def search_slice(tree, X, rows, sizes, *args):
-        slices.append((rows.copy(), np.array(sizes)))
-        real(tree, X, rows, sizes, *args)
+    def search_slice(tree, points, groups, part, *args):
+        slices.append(points[part].copy())
+        real(tree, points, groups, part, *args)
 
     monkeypatch.setattr(neighbors, "_search_slice", search_slice)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK_ROWS", size)
@@ -375,9 +403,12 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
         idx, lengths = knn_all(X, 3, workers=w)
         assert np.array_equal(idx, idx_b) and np.array_equal(idx, unblocked[w][0])
         assert lengths.tobytes() == len_b.tobytes() == unblocked[w][1].tobytes()
-        # Every row comes in exactly one slice, of at most `size` points.
-        assert all(len(sizes) <= size and sizes.sum() == len(rows) for rows, sizes in slices)
-        assert np.array_equal(np.sort(np.concatenate([r for r, _ in slices])), np.arange(len(X)))
+        # Every distinct point comes in exactly one slice, of at most `size`
+        # points.
+        assert all(len(points) <= size for points in slices)
+        points = np.concatenate(slices)
+        assert len(points) == len(np.unique(X, axis=0))
+        assert np.unique(points, axis=0).tobytes() == np.unique(X, axis=0).tobytes()
         runs.append((slices, asked))
     return runs
 
@@ -394,16 +425,17 @@ def test_blocked_query_matches_scan(monkeypatch, case, size):
         # No tie work: each row is asked once, in the first query of its slice.
         assert [m for m, _ in asked] == [k + 2] * len(slices)
     if case == "rounded-piles":
-        # The pile that ends the leaf order spans two blocks of rows in that
-        # order, but it is one point of the last slice, asked once, for
-        # more neighbors than its eight rows.
+        # The pile that ends the leaf order of a tree over every row spans
+        # two blocks of rows in that order. The tree holds it once: it is
+        # one point of the last slice, asked once, at k + 2, and its eight
+        # rows need no wider query.
         order = cKDTree(X).indices
         pile = np.flatnonzero((X == X[order[-1]]).all(axis=1))
         block = np.argsort(order)[pile] // size
         assert block.max() == (n - 1) // size and block.min() < block.max()
-        assert np.array_equal(np.sort(slices[-1][0][-len(pile):]), pile)
+        assert (slices[-1][-1] == X[pile[0]]).all()
         at_pile = [m for m, x in asked if (x == X[pile[0]]).all(axis=1).any()]
-        assert len(at_pile) == 1 and at_pile[0] > len(pile)
+        assert at_pile == [k + 2]
 
 
 def test_blocks_are_consecutive_slices_of_the_leaf_order(monkeypatch):
@@ -450,7 +482,7 @@ def _traced_peak(X):
 
 def test_scratch_is_bounded_by_one_block():
     # The (100000, 3) outputs take 4.6 MiB. Querying every row at once held
-    # about 37 MiB; one slice of points holds under 13 MiB in all.
+    # about 37 MiB; one slice of points holds 12.9 MiB in all.
     X = np.random.default_rng(14).random((100_000, 3))
     assert _traced_peak(X) < 20 * 2**20
 
@@ -458,14 +490,14 @@ def test_scratch_is_bounded_by_one_block():
 def test_tie_scratch_is_bounded():
     # 98% of the rows of a rounded sample are tied or piled. Resolving them in
     # one batch, with each round sliced only at 2**24 coordinates, held
-    # 38 MiB; slices of 16,384 distinct points hold under 16 MiB in all, with
-    # 4.6 MiB of output.
+    # 38 MiB; a tree over the distinct points, searched in slices of 16,384,
+    # holds 15.9 MiB in all, with 4.6 MiB of output.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
     assert _traced_peak(X) < 24 * 2**20
 
 
 def test_copula_tie_scratch_is_bounded():
-    # The copula of the same sample: 29 MiB in one batch, under 18 MiB in
+    # The copula of the same sample: 29 MiB in one batch, 15.5 MiB in
     # slices.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
     assert _traced_peak(empirical_copula(X).points) < 22 * 2**20
