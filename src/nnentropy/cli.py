@@ -43,7 +43,7 @@ from .errors import (
     NNEntropyError,
     OutsideCubeError,
 )
-from .estimators import EstimatorSettings, renyi_entropy, renyi_mi
+from .estimators import DEFAULT_SPEC, EstimatorSettings, renyi_entropy, renyi_mi
 from .experiments import (
     PAPER_SCALE_ISA,
     IsaExperimentConfig,
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     power = cal.add_mutually_exclusive_group(required=True)
     power.add_argument("--alpha", type=float, help="entropy order in (0, 1); p = d(1-alpha)")
     power.add_argument("--p", type=float, help="graph power directly, 0 < p < d")
-    cal.add_argument("--S", type=_parse_ranks, default=NeighborSpec((1, 2, 3)),
+    cal.add_argument("--S", type=_parse_ranks, default=DEFAULT_SPEC,
                      help="neighbor ranks, e.g. 1,2,3 (default)")
     cal.set_defaults(func=cmd_calibrate)
 
@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         est = sub.add_parser(name, parents=[common], help=description)
         est.add_argument("input", help="CSV file, one sample per row")
         est.add_argument("--alpha", type=float, required=True, help="order in (0, 1)")
-        est.add_argument("--S", type=_parse_ranks, default=NeighborSpec((1, 2, 3)),
+        est.add_argument("--S", type=_parse_ranks, default=DEFAULT_SPEC,
                          help="neighbor ranks, e.g. 1,2,3 (default)")
         est.add_argument("--gamma", type=_parse_gamma, default=None,
                          help='normalizing constant: a number, or "analytic" for the limit '

@@ -180,26 +180,13 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
     return _graph_entropy(build_nn_graph(ps, settings.spec, workers=settings.workers), settings)
 
 
-def _copula_entropy(copula, settings: EstimatorSettings) -> EstimateReport:
-    """Entropy estimate of an empirical copula, minus the MI of its sample.
-
-    :func:`renyi_mi` and the ISA's block scores go through here, so both
-    resolve the constant as an MI estimate does.
-    """
-    ps = as_point_set(copula)
-    graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
-    return _graph_entropy(graph, settings, copula=True)
-
-
 def _graph_entropy(
     graph: NNGraph, settings: EstimatorSettings, copula: bool = False
 ) -> EstimateReport:
     """Entropy estimate of ``graph.point_set`` from its graph for ``settings.spec``.
 
-    :func:`renyi_entropy` builds the graph itself; the rate study passes rank
-    columns of one neighbor table that several estimators share. ``copula``
-    marks the point set as an empirical copula, whose default constant
-    carries the unit cube's boundary factor.
+    ``copula`` marks the point set as an empirical copula, whose default
+    constant carries the unit cube's boundary factor (see :func:`_copula_mi`).
     """
     ps = graph.point_set
     p = settings.p(ps.d)
@@ -219,6 +206,21 @@ def _graph_entropy(
         gamma=gamma,
         gamma_source=source,
     )
+
+
+def _copula_mi(copula, settings: EstimatorSettings, graph: NNGraph | None = None) -> EstimateReport:
+    """MI estimate of the sample whose empirical copula is ``copula``.
+
+    Minus the entropy estimate of the copula's graph for ``settings.spec``,
+    which is searched here unless ``graph`` gives it, with the constant an
+    MI estimate resolves: the unit cube's boundary factor at the copula's
+    size by default. :func:`renyi_mi`, the rate study's estimator rows and
+    the ISA's pair and block scores all go through here.
+    """
+    if graph is None:
+        graph = build_nn_graph(copula, settings.spec, workers=settings.workers)
+    ent = _graph_entropy(graph, settings, copula=True)
+    return replace(ent, value=-ent.value, kind="mutual_information")
 
 
 def empirical_copula(points) -> PointSet:
@@ -269,8 +271,7 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
         warnings.append(_MI_DIMENSION_WARNING)
     if not (0.5 < settings.alpha < 1.0):
         warnings.append(_MI_ALPHA_WARNING)
-    ent = _copula_entropy(empirical_copula(ps), settings)
-    return replace(ent, value=-ent.value, kind="mutual_information", warnings=tuple(warnings))
+    return replace(_copula_mi(empirical_copula(ps), settings), warnings=tuple(warnings))
 
 
 def _scott_bin_counts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,14 +19,15 @@ from numbers import Real
 
 import numpy as np
 
+from . import estimators
 from .calibration import DEFAULT_N_CAL, DEFAULT_REPS
 from .errors import DataFormatError, HistogramInfeasibleError
-from .estimators import EstimatorSettings, _graph_entropy, empirical_copula, histogram_entropy
+from .estimators import DEFAULT_SPEC, EstimatorSettings, empirical_copula, histogram_entropy
 
 # Unused here: the benchmark's tracer (perfbench/spans.py) wraps these
 # attributes of this module, so they stay until it goes (ROADMAP item 6).
 from .estimators import histogram_mi, renyi_mi  # noqa: F401
-from .graph import NNGraph, build_nn_graph
+from .graph import _rank_columns, build_nn_graph
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
 from .points import NeighborSpec, as_neighbor_spec, check_alpha, check_integer, check_real
 from .samplers import (
@@ -59,7 +60,7 @@ __all__ = [
 
 # The two neighbor-graph estimators the rate study compares: the single
 # third-neighbor graph and the full first-three-neighbors graph.
-DEFAULT_RATE_ESTIMATORS = (("kth", NeighborSpec((3,))), ("knn", NeighborSpec((1, 2, 3))))
+DEFAULT_RATE_ESTIMATORS = (("kth", NeighborSpec((3,))), ("knn", DEFAULT_SPEC))
 
 _INFEASIBLE_NOTE = "histogram infeasible in this dimension"
 
@@ -295,11 +296,7 @@ def run_rate_experiment(
     """
     d = spec_dim(config.distribution)
     resolved = [
-        (
-            label,
-            EstimatorSettings(alpha=config.alpha, spec=ranks, workers=workers),
-            np.asarray(ranks.indices, dtype=np.intp) - 1,
-        )
+        (label, EstimatorSettings(alpha=config.alpha, spec=ranks, workers=workers))
         for label, ranks in config.estimators
     ]
     k = max(ranks.k for _, ranks in config.estimators)
@@ -313,11 +310,9 @@ def run_rate_experiment(
             points = sample(config.distribution, n, streams[ni * config.runs + run])
             copula = empirical_copula(points)
             table = build_nn_graph(copula, table_spec, workers=workers)
-            for label, settings, cols in resolved:
-                graph = NNGraph(
-                    copula, settings.spec, table.neighbor_index[:, cols], table.length[:, cols]
-                )
-                value = -_graph_entropy(graph, settings, copula=True).value
+            for label, settings in resolved:
+                graph = _rank_columns(copula, settings.spec, table.neighbor_index, table.length)
+                value = estimators._copula_mi(copula, settings, graph).value
                 rows.append(RateRow(n, run, label, abs(value - config.truth)))
             if config.histogram and not hist_infeasible:
                 try:
@@ -361,7 +356,7 @@ class IsaExperimentConfig:
     subspace_dim: int = 2
     n: int = 2000
     alpha: float = 0.99
-    spec: NeighborSpec = NeighborSpec((1, 2, 3))
+    spec: NeighborSpec = DEFAULT_SPEC
     mixing: str = "gaussian"
     q: int | None = None
     n_cal: int = DEFAULT_N_CAL

@@ -66,9 +66,19 @@ def build_nn_graph(points, spec, workers: int = -1) -> NNGraph:
         raise InsufficientPointsError(
             f"rank {spec.k} requested but the sample has only {ps.n} points"
         )
-    idx, lengths = knn_all(ps, spec.k, workers=workers)
-    if len(spec) == spec.k:
-        # Every rank 1..k: the search's arrays are the graph's.
+    return _rank_columns(ps, spec, *knn_all(ps, spec.k, workers=workers))
+
+
+def _rank_columns(ps: PointSet, spec: NeighborSpec, idx, lengths) -> NNGraph:
+    """The graph for ``spec`` from a neighbor table whose column j holds rank j + 1.
+
+    :func:`build_nn_graph` passes the search for ``max(spec)`` ranks; the
+    rate study passes one table of more ranks, which several rank sets
+    share. The table is ordered by length and then index, so its leading
+    columns are the search for fewer ranks.
+    """
+    if len(spec) == idx.shape[1]:
+        # Every rank of the table: its arrays are the graph's.
         return NNGraph(ps, spec, idx, lengths)
     cols = np.asarray(spec.indices, dtype=np.intp) - 1
     return NNGraph(ps, spec, idx[:, cols], lengths[:, cols])

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimators
 from .errors import DegenerateSampleError
-from .estimators import EstimatorSettings, _copula_entropy, empirical_copula
+from .estimators import EstimatorSettings, empirical_copula
 
 # Unused here: the benchmark's tracer (perfbench/spans.py) wraps this
 # attribute of the module, so it stays until the tracer goes (ROADMAP item 6).
@@ -196,7 +197,9 @@ def pairwise_mi_matrix(ics, settings: EstimatorSettings) -> np.ndarray:
     """Symmetric matrix of pairwise mutual information between components.
 
     The components are ranked once and each pair is scored on its two
-    columns of that copula (see :func:`_copula_mi`).
+    columns of that copula. Ranks are taken per column, so a column slice of
+    the copula is the copula of that column slice, and each entry equals
+    :func:`renyi_mi` on the raw columns, bitwise.
     """
     return _pairwise_copula_mi(empirical_copula(ics).points, settings)
 
@@ -207,18 +210,8 @@ def _pairwise_copula_mi(copula: np.ndarray, settings: EstimatorSettings) -> np.n
     matrix = np.zeros((q, q))
     for i in range(q):
         for j in range(i + 1, q):
-            matrix[i, j] = matrix[j, i] = _copula_mi(copula, [i, j], settings)
+            matrix[i, j] = matrix[j, i] = estimators._copula_mi(copula[:, [i, j]], settings).value
     return matrix
-
-
-def _copula_mi(copula: np.ndarray, cols, settings: EstimatorSettings) -> float:
-    """:func:`renyi_mi` of columns ``cols`` of the sample whose copula is given.
-
-    Ranks are taken per column, so a column slice of the copula is the
-    copula of that column slice, and the value equals ``renyi_mi`` on the
-    raw columns bitwise.
-    """
-    return -_copula_entropy(copula[:, cols], settings).value
 
 
 def _greedy_blocks(matrix: np.ndarray, d: int, m: int) -> list[list[int]]:
@@ -277,7 +270,7 @@ def group_components(
     def block_mi(block) -> float:
         key = frozenset(block)
         if key not in scores:
-            scores[key] = _copula_mi(copula, sorted(block), settings)
+            scores[key] = estimators._copula_mi(copula[:, sorted(block)], settings).value
         return scores[key]
 
     if d == 1:

@@ -2,12 +2,12 @@
 
 :func:`knn_all` is the package's one neighbor search and the only place
 that selects a search method. Distance ties are broken by ascending point
-index, and every code path computes squared lengths with the same
-arithmetic, the coordinate differences squared and summed over the last
-axis, so the kd-tree search and the exhaustive reference scan return
-bitwise-identical indices and lengths.
+index, and every code path computes squared lengths with one function,
+:func:`_squared_lengths`, so the kd-tree search and the exhaustive
+reference scan return bitwise-identical indices and lengths.
 Distances that overflow or underflow float64 stop the search with
-:class:`DegenerateSampleError`.
+:class:`DegenerateSampleError`; where every distance underflows, before
+the tree is queried.
 
 The kd-tree serves every dimension, with leaves that grow with it (16
 points per 4 dimensions), and holds each distinct point once. Sorting the
@@ -86,6 +86,8 @@ _BLOCK_ELEMENTS = 2**24
 # cores did not separate from noise.
 _QUERY_BLOCK_ROWS = 16_384
 
+_UNDERFLOW = "the sample's neighbor distances underflow float64; rescale the data"
+
 # Inputs with fewer coordinates than this (rows x d) are queried on the
 # calling thread. Measured on 2 cores for d = 2 to 25, a second thread
 # saves at most 0.5 ms of wall time per query up to 8192 coordinates and
@@ -162,23 +164,37 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _squared_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean lengths between ``a`` and ``b``, broadcast.
+
+    The difference, squared in place and summed over the last axis. Every
+    length the search and the scan report is the square root of one of
+    these, so both compute them with the same arithmetic.
+    """
+    diff = a - b
+    diff *= diff
+    return diff.sum(axis=-1)
+
+
 def _knn_brute(X: np.ndarray, k: int):
     """Exhaustive reference scan: O(n^2 d) time, memory-blocked.
 
     Used only for ``method="brute"``, the reference the kd-tree search is
-    tested against.
+    tested against. Each row's entries at or below its ``k + 1``-th smallest
+    squared length, its own included, are a prefix of the row's (length,
+    index) order; only they are sorted, and the row's own index is dropped.
     """
     n, d = X.shape
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
     block = max(1, _BLOCK_ELEMENTS // max(1, n * d))
-    ar = np.arange(n)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = X[start:stop, None, :] - X[None, :, :]
-        sq = (diff * diff).sum(axis=-1)
+        sq = _squared_lengths(X[start:stop, None, :], X[None, :, :])
+        bound = np.partition(sq, k, axis=1)[:, k]
         for row, i in enumerate(range(start, stop)):
-            order = np.lexsort((ar, sq[row]))
+            near = np.flatnonzero(sq[row] <= bound[row])
+            order = near[np.lexsort((near, sq[row, near]))]
             order = order[order != i][:k]
             indices[i] = order
             lengths[i] = np.sqrt(sq[row, order])
@@ -197,6 +213,15 @@ def _knn_kdtree(X: np.ndarray, k: int, workers: int):
         workers = 1
     points, groups = _point_groups(X)
     tree = cKDTree(points, leafsize=_LEAF_POINTS * max(1, d // 4))
+    # No two points differ in a coordinate by more than the tree's bounding
+    # box does: if its squared diagonal underflows, so does every pair's, and
+    # the first query would raise after quadratic work. (A diagonal that
+    # overflows is left to the query, which names it.) The tree has the box
+    # at no cost; computing it here would add about 3% to every search.
+    with np.errstate(over="ignore"):
+        diagonal = _squared_lengths(tree.maxes, tree.mins)
+    if len(points) > 1 and diagonal == 0:
+        raise DegenerateSampleError(_UNDERFLOW)
     indices = np.empty((n, k), dtype=np.intp)
     lengths = np.empty((n, k), dtype=np.float64)
     for s in range(0, len(points), _QUERY_BLOCK_ROWS):
@@ -263,9 +288,7 @@ def _query(tree: cKDTree, x: np.ndarray, m: int, workers: int):
             "the sample's neighbor distances overflow float64; rescale the data"
         )
     if m > 1 and (dist[1] == 0).any():
-        raise DegenerateSampleError(
-            "the sample's neighbor distances underflow float64; rescale the data"
-        )
+        raise DegenerateSampleError(_UNDERFLOW)
     return dist, idx
 
 
@@ -319,11 +342,9 @@ def _search_slice(tree: cKDTree, points, groups, part, k: int, workers: int, ind
             lone = clear & (last == k)
             if lone.any():
                 near = cand[1 : k + 1, lone]
-                diff = points[near] - points[at[lone]]
-                diff *= diff
                 own = _rows(groups, at[lone], 0)
                 indices[own] = _rows(groups, near, 0).T
-                lengths[own] = np.sqrt(diff.sum(axis=-1)).T
+                lengths[own] = np.sqrt(_squared_lengths(points[near], points[at[lone]])).T
             read = clear & ~lone
             if read.any():
                 _read_heads(points, groups, at[read], cand[: k + 1, read], upto[:, read], k, indices, lengths)
@@ -347,10 +368,9 @@ def _read_heads(points, groups, at, cand, upto, k: int, indices, lengths):
         take = np.clip(k + 1 - upto[:, a : a + step] + size, 0, size)
         entry, place = _spread(take.T.ravel())
         near = near.T.ravel()[entry].reshape(-1, k + 1)
-        diff = points[near] - points[at[a : a + step]][:, None, :]
-        diff *= diff
+        sq = _squared_lengths(points[near], points[at[a : a + step]][:, None, :])
         head = _rows(groups, near, place.reshape(-1, k + 1))
-        _write(groups, at[a : a + step], head, diff.sum(axis=-1), k, indices, lengths)
+        _write(groups, at[a : a + step], head, sq, k, indices, lengths)
 
 
 def _sort_heads(points, groups, at, cand, near, k: int, indices, lengths):
@@ -376,9 +396,7 @@ def _sort_heads(points, groups, at, cand, near, k: int, indices, lengths):
         b = max(a + 1, int(np.searchsorted(bounds, b, side="right")))
         lo, hi = np.searchsorted(pos, [a, b])
         p, g, t = pos[lo:hi] - a, near[lo:hi], take[lo:hi]
-        diff = points[g] - points[at[a:b]][p]
-        diff *= diff
-        sq = diff.sum(axis=-1)
+        sq = _squared_lengths(points[g], points[at[a:b]][p])
         entry, place = _spread(t)
         row, sq, p = _rows(groups, g[entry], place), sq[entry], p[entry]
         order = np.lexsort((row, sq, p))

@@ -22,11 +22,15 @@ from nnentropy import (
     boundary_coefficient,
     empirical_copula,
     estimate_gamma,
+    estimators,
     gamma_analytic,
+    group_components,
     histogram_entropy,
     histogram_mi,
+    pairwise_mi_matrix,
     renyi_entropy,
     renyi_mi,
+    run_rate_experiment,
 )
 
 from .oracles import copula_ranks
@@ -295,6 +299,25 @@ class TestRenyiMI:
         Y = np.column_stack([np.expm1(X[:, 0]), 0.2 * X[:, 1] + 9.0, X[:, 2] ** 3])
         settings = EstimatorSettings(alpha=0.7, gamma=1.0)
         assert renyi_mi(X, settings).value == renyi_mi(Y, settings).value
+
+    def test_every_graph_mi_comes_from_one_function(self, monkeypatch):
+        # renyi_mi, the rate study's estimator rows and the ISA's pair and
+        # block scores all turn a copula's graph into MI in one place.
+        real, marker = estimators._copula_mi, 7.25
+
+        def marked(*args, **kwargs):
+            return replace(real(*args, **kwargs), value=marker)
+
+        monkeypatch.setattr(estimators, "_copula_mi", marked)
+        rng = np.random.default_rng(12)
+        settings = EstimatorSettings(alpha=0.7)
+        assert renyi_mi(rng.random((200, 3)), settings).value == marker
+        config = RateExperimentConfig(UniformCube(3), 0.5, n_grid=(60,), runs=1, histogram=False)
+        rows = [r for r in run_rate_experiment(config).rows if r.run is not None]
+        assert [r.estimator for r in rows] == ["kth", "knn"]
+        assert all(r.abs_error == marker - 0.5 for r in rows)
+        assert (pairwise_mi_matrix(rng.random((100, 3)), settings)[[0, 0, 1], [1, 2, 2]] == marker).all()
+        assert group_components(rng.random((100, 6)), 3, 2, settings).objective == 2 * marker
 
 
 class TestHistogramEstimators:

@@ -1,5 +1,6 @@
 """Exact k-nearest-neighbor queries: correctness, ties, and path agreement."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -229,11 +230,57 @@ def test_overflowing_distances_raise():
 def test_underflowing_distances_raise_before_tie_queries_grow(monkeypatch):
     # Distinct points whose squared distances underflow are all 0 apart, so
     # every row looks tied; widening their queries would reach every point.
+    # Their bounding box's squared diagonal underflows too, so no query runs.
     asked = _record_queries(monkeypatch)
     X = np.random.default_rng(11).random((6000, 3)) * 1e-170
     with pytest.raises(DegenerateSampleError, match="underflow float64"):
         knn_all(X, 3)
-    assert asked and max(k for k, _ in asked) <= 3 + 2
+    assert asked == []
+
+
+def test_underflowing_sample_raises_before_the_quadratic_query():
+    # The tree's first query over 30,000 such points takes seconds.
+    X = np.random.default_rng(11).random((30_000, 3)) * 1e-170
+    start = time.process_time()
+    with pytest.raises(DegenerateSampleError, match="underflow float64"):
+        knn_all(X, 3)
+    assert time.process_time() - start < 0.05
+
+
+def test_one_underflowing_pair_raises_from_the_query():
+    # The box is wide, so only the query sees the pair 1e-170 apart.
+    X = np.random.default_rng(11).random((500, 3))
+    X[:2] = [[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0]]
+    with pytest.raises(DegenerateSampleError, match="underflow float64") as raised:
+        knn_all(X, 3)
+    assert raised.traceback[-1].name == "_query"
+
+
+def test_every_length_comes_from_one_function(monkeypatch):
+    # The tree's three ways of writing a row and the scan all take their
+    # lengths from neighbors._squared_lengths. Four times the squared lengths
+    # keep every order and double every length exactly.
+    rng = np.random.default_rng(18)
+    cases = [rng.random((500, 3)), _duplicate_piles(rng), _integer_grid(rng)]
+    before = [knn_all(X, 3) for X in cases]
+    real, ran = neighbors._squared_lengths, []
+    monkeypatch.setattr(neighbors, "_squared_lengths", lambda a, b: 4.0 * real(a, b))
+
+    def spy(fn):
+        def recorded(*args):
+            ran.append(fn.__name__)
+            return fn(*args)
+
+        return recorded
+
+    for name in ("_read_heads", "_sort_heads"):
+        monkeypatch.setattr(neighbors, name, spy(getattr(neighbors, name)))
+    for X, (idx, lengths) in zip(cases, before):
+        for method in ("kdtree", "brute"):
+            idx4, lengths4 = knn_all(X, 3, method=method)
+            assert np.array_equal(idx4, idx)
+            assert lengths4.tobytes() == (2.0 * lengths).tobytes()
+    assert set(ran) == {"_read_heads", "_sort_heads"}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
