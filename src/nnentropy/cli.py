@@ -28,6 +28,7 @@ import io
 import json
 import math
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -131,42 +132,44 @@ def _parse_fast(text: str) -> np.ndarray | None:
 
 
 def _parse_lines(path, text: str) -> np.ndarray:
-    """Parse row by row with ``csv.reader``; errors name the physical line a row ends on."""
+    """Parse row by row with ``csv.reader``, stopping at the first bad row.
+
+    Each row is checked (width, number, finite) as it is read and only its
+    floats are kept; errors name the physical line a row ends on.
+    """
     reader = csv.reader(io.StringIO(text, newline=""))
+    values = array("d")
+    width = None
     try:
-        rows = [(reader.line_num, row) for row in reader if row]
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if width is None:
+                width = len(row)
+                if _looks_like_header(row):
+                    continue
+            elif len(row) != width:
+                raise DataFormatError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
+                )
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: invalid number {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: non-finite value {cell.strip()!r}"
+                    )
+                values.append(value)
     except csv.Error as exc:
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if not values:
         raise DataFormatError(f"{path}: no data")
-
-    def parse_row(lineno, row, width):
-        if width is not None and len(row) != width:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
-            )
-        values = []
-        for cell in row:
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: invalid number {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataFormatError(
-                    f"{path}: line {lineno}: non-finite value {cell.strip()!r}"
-                )
-            values.append(value)
-        return values
-
-    first = rows[0][1]
-    data = rows[1:] if _looks_like_header(first) else rows
-    if not data:
-        raise DataFormatError(f"{path}: no data")
-    width = len(first)
-    parsed = [parse_row(lineno, row, width) for lineno, row in data]
-    return np.asarray(parsed, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, width)
 
 
 def _load_json(path, what: str) -> dict:

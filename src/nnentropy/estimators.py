@@ -174,10 +174,27 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
     InsufficientPointsError
         If ``n <= max(spec)``.
     DegenerateSampleError
-        If all points coincide (zero total edge length).
+        If a coordinate takes one value (see :func:`_check_spread`), or if
+        the total edge length is zero (every point lies in a pile of more
+        than ``max(spec)`` copies).
     """
     ps = as_point_set(points)
-    return _graph_entropy(build_nn_graph(ps, settings.spec, workers=settings.workers), settings)
+    graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
+    _check_spread(ps.points)
+    return _graph_entropy(graph, settings)
+
+
+def _check_spread(X: np.ndarray) -> None:
+    """Raise :class:`DegenerateSampleError` if a column of ``X`` takes one value.
+
+    Such a sample has no density in ``R^d``, yet its neighbor graph (that of
+    the other columns) gives a finite, meaningless estimate. The check only
+    reads the sample, so every estimate it lets through keeps its bytes.
+    """
+    for j in range(X.shape[1]):
+        column = X[:, j]
+        if column.min() == column.max():
+            raise DegenerateSampleError(f"degenerate sample: coordinate {j} has zero spread")
 
 
 def _graph_entropy(
@@ -263,7 +280,8 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
     sample's size (see :class:`EstimatorSettings`). The consistency
     guarantee covers ``d >= 3`` and ``alpha`` in (1/2, 1); outside that
     range the estimate is still computed but the report carries a warning.
-    A single coordinate raises ``ValueError``.
+    A single coordinate raises ``ValueError`` and a coordinate that takes
+    one value ``DegenerateSampleError``.
     """
     ps = _mi_sample(points)
     warnings = []
@@ -271,17 +289,20 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
         warnings.append(_MI_DIMENSION_WARNING)
     if not (0.5 < settings.alpha < 1.0):
         warnings.append(_MI_ALPHA_WARNING)
-    return replace(_copula_mi(empirical_copula(ps), settings), warnings=tuple(warnings))
+    copula = empirical_copula(ps)
+    graph = build_nn_graph(copula, settings.spec, workers=settings.workers)
+    _check_spread(ps.points)
+    return replace(_copula_mi(copula, settings, graph), warnings=tuple(warnings))
 
 
 def _scott_bin_counts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-axis bin counts from the per-axis normal-reference rule."""
     n, d = X.shape
+    _check_spread(X)
     sd = X.std(axis=0, ddof=1)
-    zero = np.nonzero(sd == 0.0)[0]
-    if zero.size:
+    if (sd == 0.0).any():
         raise DegenerateSampleError(
-            f"degenerate sample: coordinate {int(zero[0])} has zero spread"
+            "degenerate sample: a coordinate's spread underflows float64; rescale the data"
         )
     width = 3.49 * sd * n ** (-1.0 / 3.0)
     lo = X.min(axis=0)

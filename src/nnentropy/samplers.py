@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .points import PointSet, as_point_set, check_integer, check_real
+from .points import PointSet, _times_transpose, as_point_set, check_integer, check_real
 
 __all__ = [
     "UniformCube",
@@ -279,4 +279,4 @@ def mix(sources, a) -> PointSet:
         raise ValueError(f"mixing matrix has {a.shape[1]} columns but sources have dimension {ps.d}")
     if np.linalg.matrix_rank(a) < a.shape[1]:
         raise ValueError("mixing matrix is rank deficient")
-    return PointSet(ps.points @ a.T)
+    return PointSet(_times_transpose(ps.points, a))

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,15 @@ class TestEntropy:
         code, _, err = run_cli(["entropy", path, "--alpha", "0.7", "--gamma", "1.0"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["entropy", "mi"])
+    def test_constant_column_is_numerical_error(self, tmp_path, command, capsys):
+        pts = np.random.default_rng(7).random((500, 3))
+        pts[:, 1] = 0.5
+        path = write_csv(tmp_path / "flat.csv", pts)
+        code, out, err = run_cli([command, path, "--alpha", "0.7"], capsys)
+        assert (code, out) == (4, "")
+        assert "coordinate 1 has zero spread" in err
+
     def test_overflowing_distances_are_numerical_error(self, tmp_path, capsys):
         pts = np.random.default_rng(7).random((500, 3)) * 1e155
         path = write_csv(tmp_path / "huge.csv", pts)
@@ -320,6 +330,25 @@ class TestCsvInput:
         path = tmp_path / "in.csv"
         path.write_text(text, encoding="utf-8")
         assert self.estimate(path, capsys) == (3, None, f"error: {path}: {message}\n")
+
+    def test_bad_second_line_stops_the_parse(self, tmp_path):
+        """A bad row is reported before the rows after it are read: on a
+        2.9 MB file the traced peak stays below 7 times the file's size (the
+        file's bytes and text, and the vectorized parse's split lines, take
+        about 5), where holding every row's strings took about 12."""
+        rows = np.random.default_rng(8).random((50_000, 3)).tolist()
+        lines = [",".join(map(repr, row)) for row in rows]
+        lines[1] = "1.0,abc,2.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="line 2: invalid number 'abc'"):
+                _read_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * path.stat().st_size
 
     def test_vectorized_parse_takes_plain_files(self):
         points = np.random.default_rng(3).random((50, 3)).tolist()

@@ -320,6 +320,27 @@ class TestRenyiMI:
         assert group_components(rng.random((100, 6)), 3, 2, settings).objective == 2 * marker
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda X: renyi_entropy(X, EstimatorSettings(alpha=0.7)),
+        lambda X: renyi_mi(X, EstimatorSettings(alpha=0.7)),
+        lambda X: histogram_entropy(X, 0.7),
+        lambda X: histogram_mi(X, 0.7),
+    ],
+    ids=["renyi_entropy", "renyi_mi", "histogram_entropy", "histogram_mi"],
+)
+def test_constant_column_is_degenerate(estimate):
+    """A constant column has no density. The graph estimates used to return
+    finite values (-2.99 and 3.12 here), and the histogram's spread test
+    missed a column of 0.1, whose column-wise standard deviation rounds above
+    zero, and returned -inf."""
+    X = np.random.default_rng(11).random((500, 3))
+    X[:, 2] = 0.1
+    with pytest.raises(DegenerateSampleError, match="coordinate 2 has zero spread"):
+        estimate(X)
+
+
 class TestHistogramEstimators:
     def test_uniform_line_is_near_zero(self):
         rng = np.random.default_rng(9)

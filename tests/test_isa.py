@@ -26,8 +26,17 @@ from nnentropy import (
 )
 from nnentropy.experiments import PAPER_SCALE_ISA, IsaExperimentConfig, run_isa_experiment
 from nnentropy.isa import _greedy_blocks, _swap_refine
+from nnentropy.points import _times_transpose
 
 FIXED = EstimatorSettings(alpha=0.7, gamma=1.0)
+# Paper-scale blocks at seeds 0-4, as the row-overlap stopping rule found them.
+PAPER_BLOCKS = [
+    ((0, 7, 16), (1, 10, 12), (2, 3, 6), (4, 14, 15), (5, 8, 13), (9, 11, 17)),
+    ((0, 13, 14), (1, 2, 16), (3, 5, 15), (4, 6, 9), (7, 8, 11), (10, 12, 17)),
+    ((0, 1, 2), (3, 15, 17), (4, 7, 11), (5, 13, 16), (6, 12, 14), (8, 9, 10)),
+    ((0, 7, 16), (1, 2, 4), (3, 13, 15), (5, 9, 14), (6, 10, 17), (8, 11, 12)),
+    ((0, 6, 11), (1, 2, 5), (3, 7, 13), (4, 8, 15), (9, 16, 17), (10, 12, 14)),
+]
 
 
 def _blocky_components(n=500, seed=3, noise=0.03):
@@ -143,10 +152,36 @@ class TestFastica:
         assert result.iterations == 1
         assert "did not converge" in result.warnings[0]
 
+    def test_rotating_block_stops_on_contrast(self, monkeypatch):
+        """Points on a circle are one dependent block of two components: its
+        contrast is the same at every rotation, so the rows drift with the
+        sample's noise (the row-overlap rule took 115 iterations here). The
+        contrast stops the iteration while one more step still turns the
+        rows by more than that rule allowed."""
+        rng = np.random.default_rng(3)
+        t = 2.0 * np.pi * rng.random(2000)
+        S = np.column_stack([np.cos(t), np.sin(t)]) + 0.1 * rng.standard_normal((2000, 2))
+        white, _ = whiten(S, n_components=2)
+        result = fastica(white, seed=0)
+        assert result.converged and result.warnings == ()
+        assert result.iterations < 20
+        monkeypatch.setattr(nnentropy.isa, "_MAX_ITER", result.iterations + 1)
+        monkeypatch.setattr(nnentropy.isa, "_CONTRAST_STEPS", result.iterations + 2)
+        turned = fastica(white, seed=0).w
+        assert np.max(1.0 - np.abs((turned * result.w).sum(axis=1))) > 1e-6
+
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(8)
         white, _ = whiten(rng.random((300, 2)), n_components=2)
         assert np.array_equal(fastica(white, seed=3).w, fastica(white, seed=3).w)
+
+
+def test_times_transpose_matches_matmul():
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2000, 18)), rng.standard_normal((18, 18))
+    for x, y in ((a, b), (a.T, a.T)):
+        expected = x @ y.T
+        assert np.max(np.abs(_times_transpose(x, y) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestPairwiseMiMatrix:
@@ -385,6 +420,14 @@ class TestRunIsa:
         S = np.random.default_rng(18).random((400, 2))
         sol = run_isa(IsaProblem(S, 1, 2), FIXED, seed=0)
         assert sol.score is None
+
+    @pytest.mark.parametrize("seed, blocks", enumerate(PAPER_BLOCKS))
+    def test_paper_scale_converges(self, seed, blocks):
+        """The row-overlap rule ran seeds 0, 3 and 4 to the 500-iteration cap
+        and warned; the contrast stops every seed with the same blocks."""
+        solution = run_isa_experiment(PAPER_SCALE_ISA, seed=seed).solution
+        assert solution.converged and solution.warnings == ()
+        assert solution.blocks == blocks
 
     def test_deterministic(self):
         S = np.random.default_rng(19).random((400, 2))
