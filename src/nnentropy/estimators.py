@@ -189,7 +189,9 @@ def _check_spread(X: np.ndarray) -> None:
 
     Such a sample has no density in ``R^d``, yet its neighbor graph (that of
     the other columns) gives a finite, meaningless estimate. The check only
-    reads the sample, so every estimate it lets through keeps its bytes.
+    reads the sample (the MI estimates pass its copula, whose columns take
+    one value exactly where the sample's do), so every estimate it lets
+    through keeps its bytes.
     """
     for j in range(X.shape[1]):
         column = X[:, j]
@@ -282,6 +284,11 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
     range the estimate is still computed but the report carries a warning.
     A single coordinate raises ``ValueError`` and a coordinate that takes
     one value ``DegenerateSampleError``.
+
+    Once the sample is ranked, only its copula is held: a column takes one
+    value exactly when its copula column does (``-0.0`` and ``0.0`` being
+    one value), so the spread check reads the copula, and no copy of the
+    raw sample is held during the neighbor search.
     """
     ps = _mi_sample(points)
     warnings = []
@@ -290,8 +297,9 @@ def renyi_mi(points, settings: EstimatorSettings) -> EstimateReport:
     if not (0.5 < settings.alpha < 1.0):
         warnings.append(_MI_ALPHA_WARNING)
     copula = empirical_copula(ps)
+    del ps
     graph = build_nn_graph(copula, settings.spec, workers=settings.workers)
-    _check_spread(ps.points)
+    _check_spread(copula.points)
     return replace(_copula_mi(copula, settings, graph), warnings=tuple(warnings))
 
 

@@ -34,14 +34,15 @@ and until then the point asks for twice as many, so that every point tied
 with the one that completes its rows is among them. Every row is written
 back at its input position.
 
-Beyond the tree and the output arrays, the search holds one slice of
-points with their candidates, and where points repeat the grouped row
+Beyond the tree and the output arrays, the search holds one slice's query
+results, the bookkeeping of one chunk of ``_QUERY_BLOCK_ROWS // (k + 1)``
+of its points (4,096 at k = 3), and where points repeat the grouped row
 indices, one copy of each point and each point's number of rows. At k = 3
-it peaks (traced) at 12.9 MiB for 100,000 x 3 uniform points and at
-20.5 MiB for 200,000, 4.6 and 9.2 MiB of it output. On a Gaussian sample
-rounded to one decimal, where 98% of the rows are tied or piled, it peaks
-at 15.9 MiB for 100,000 x 3 points (15.5 MiB for its copula) and at
-42 MiB for 400,000.
+it peaks (traced) at 10.0 MiB for 100,000 x 3 uniform points and at
+17.6 MiB for 200,000 x 3 Gaussian points, 4.6 and 9.2 MiB of it output. On
+a Gaussian sample rounded to one decimal, where 98% of the rows are tied
+or piled, it peaks at 14.3 MiB for 100,000 x 3 points (13.2 MiB for its
+copula).
 """
 
 from __future__ import annotations
@@ -72,18 +73,21 @@ _TIE_RTOL = 1e-9
 _BLOCK_ELEMENTS = 2**24
 
 # Distinct points per slice of the search; a slice's first round asks all its
-# points in one kd-tree query. The search holds the reported neighbors, the
-# gap test and the recomputed lengths of one slice at a time, and reads or
-# sorts the rows of about this many candidates at a time. Measured on 2
-# cores at n = 200,000, d = 3, k = 3, in leaf order: slices of 16,384 points
-# hold 20.2 MiB in all where one query over every row held 75 MiB. Split into
-# blocks of 16,384 rows, a threaded query costs 12% more CPU time than one
-# call (65,536 rows: 7%, 4,096 rows: 23%); on the calling thread the block
-# size makes no difference. In leaf order the query takes half the CPU time
-# it takes in input order, at every block size. On a rounded 100,000 x 3
-# sample, slices of 16,384 points hold 15.1 MiB in all and slices of 4,096
-# points 10.4 MiB, at a CPU cost (up to 12% more) that alternating runs on 2
-# cores did not separate from noise.
+# points in one kd-tree query. The search holds the reported neighbors of one
+# slice at a time and settles them in chunks of this many head rows,
+# _QUERY_BLOCK_ROWS // (k + 1) points: the gap test, the recomputed lengths
+# and the heads exist for one chunk at a time, and a sorted chunk is cut
+# again at about this many rows. Measured on 2 cores at n = 200,000, d = 3,
+# k = 3, in leaf order: one query over every row held 75 MiB; slices of
+# 16,384 points, each settled at once, 20.9 MiB traced, and settled in chunks
+# of 4,096 points 17.6 MiB (100,000 x 3 uniform points: 13.2 -> 10.0 MiB).
+# Split into blocks of 16,384 rows, a threaded query costs 12% more CPU time
+# than one call (65,536 rows: 7%, 4,096 rows: 23%); on the calling thread the
+# block size makes no difference. In leaf order the query takes half the CPU
+# time it takes in input order, at every block size. On a rounded
+# 100,000 x 3 sample, slices of 16,384 points held 15.1 MiB in all and
+# slices of 4,096 points 10.4 MiB, at a CPU cost (up to 12% more) that
+# alternating runs on 2 cores did not separate from noise.
 _QUERY_BLOCK_ROWS = 16_384
 
 _UNDERFLOW = "the sample's neighbor distances underflow float64; rescale the data"
@@ -113,9 +117,10 @@ def knn_all(points, k: int, method: str = "kdtree", workers: int = -1):
     about each of them once for ``k + 2`` neighbors, and again, for twice as
     many, only while a tie with a point the query has not reported may
     leave it unsettled; a point of more than ``k`` rows never asks again.
-    Besides the tree and the output arrays it holds one slice of points
-    with their candidates at a time, and where points repeat the grouped
-    row indices, one copy of each point and each point's number of rows.
+    Besides the tree and the output arrays it holds one slice's query
+    results at a time, settles the slice's points in chunks of
+    ``16,384 // (k + 1)``, and where points repeat holds the grouped row
+    indices, one copy of each point and each point's number of rows.
 
     Parameters
     ----------
@@ -303,74 +308,87 @@ def _search_slice(tree: cKDTree, points, groups, part, k: int, workers: int, ind
     rows of the points nearest to it, each point's rows in ascending order.
 
     The first round asks every point for ``m = k + 2`` neighbors, in one
-    query with ``workers`` threads. The neighbor that completes a point's
-    head is reported at distance ``reach``. Where the reported gaps up to
-    the first neighbor beyond it are clear, the tree's order is exact and
-    the head is read from it; a point of more than ``k`` rows is its own
-    head and always takes this path. Otherwise, if the farthest neighbor is
-    clearly beyond ``reach``, the rows of the neighbors that are not are
-    sorted by (length, index). Otherwise a point tied with the one that
-    completes the head may be missing, so ``m`` doubles for it, up to every
-    point, on the calling thread. A round queries ``_QUERY_BLOCK_ROWS * (k
-    + 2) // m`` points at a time, so its candidates stay about one
-    first-round query. A function of its own so that each slice's arrays
-    are freed before the next slice starts.
+    query with ``workers`` threads, and :func:`_settle` settles its points
+    in chunks of ``_QUERY_BLOCK_ROWS // (k + 1)``. A point that a tie with
+    a point the query has not reported may leave unsettled is asked again:
+    ``m`` doubles for it, up to every point, on the calling thread. A round
+    queries ``_QUERY_BLOCK_ROWS * (k + 2) // m`` points at a time, so its
+    candidates stay about one first-round query. A function of its own so
+    that each slice's arrays are freed before the next slice starts.
     """
-    sizes = groups[2]
     todo, m = part, min(k + 2, len(points))
+    chunk = max(1, _QUERY_BLOCK_ROWS // (k + 1))
     while todo.size:
         step = max(1, _QUERY_BLOCK_ROWS * (k + 2) // m)
-        wider = []
+        wider, every = [], m == len(points)
         for start in range(0, todo.size, step):
             at = todo[start : start + step]
             dist, cand = _query(tree, points[at], m, workers)
-            # Every neighbor holds a row, so the head is complete within the
-            # first k + 1, at `last`. (np.cumsum over the short first axis
-            # is ten times slower than adding row by row.)
-            upto = sizes[cand[: k + 1]]
-            for j in range(1, len(upto)):
-                upto[j] += upto[j - 1]
-            last = (upto <= k).sum(axis=0)
-            reach = dist[last, np.arange(len(at))]
-            done = (m == len(points)) | (dist[-1] - reach > _TIE_RTOL * dist[-1])
-            wider.append(at[~done])
-            tied = np.diff(dist[: k + 2], axis=0) <= _TIE_RTOL * dist[1 : k + 2]
-            clear = done & ~(tied & (np.arange(len(tied))[:, None] <= last)).any(axis=0)
-            # Where the point and its k - 1 nearest are single rows, its row
-            # takes the first row of each of the next k as the tree reports
-            # them: every row of an input with no repeated point.
-            lone = clear & (last == k)
-            if lone.any():
-                near = cand[1 : k + 1, lone]
-                own = _rows(groups, at[lone], 0)
-                indices[own] = _rows(groups, near, 0).T
-                lengths[own] = np.sqrt(_squared_lengths(points[near], points[at[lone]])).T
-            read = clear & ~lone
-            if read.any():
-                _read_heads(points, groups, at[read], cand[: k + 1, read], upto[:, read], k, indices, lengths)
-            sort = done & ~clear
-            if sort.any():
-                near = dist[:, sort] - reach[sort] <= _TIE_RTOL * dist[:, sort]
-                _sort_heads(points, groups, at[sort], cand[:, sort], near, k, indices, lengths)
+            for c in range(0, len(at), chunk):
+                span = slice(c, c + chunk)
+                wider.append(
+                    _settle(points, groups, at[span], dist[:, span], cand[:, span], every, k, indices, lengths)
+                )
         todo, m, workers = np.concatenate(wider), min(2 * m, len(points)), 1
+
+
+def _settle(points, groups, at, dist, cand, every: bool, k: int, indices, lengths):
+    """Write the heads of the points ``at`` that their query settles; return the rest.
+
+    ``dist`` and ``cand`` are the query's distances and neighbors of the
+    points, one row per rank; ``every`` says that they are all of the
+    tree's points. The neighbor that completes a point's head is reported
+    at distance ``reach``. Where the reported gaps up to the first neighbor
+    beyond it are clear, the tree's order is exact and the head is read
+    from it; a point of more than ``k`` rows is its own head and always
+    takes this path. Otherwise, if the farthest neighbor is clearly beyond
+    ``reach``, the rows of the neighbors that are not are sorted by
+    (length, index). Otherwise a point tied with the one that completes the
+    head may be missing, and the point is returned to be asked for more.
+    """
+    # Every neighbor holds a row, so the head is complete within the first
+    # k + 1, at `last`. (np.cumsum over the short first axis is ten times
+    # slower than adding row by row.)
+    upto = groups[2][cand[: k + 1]]
+    for j in range(1, len(upto)):
+        upto[j] += upto[j - 1]
+    last = (upto <= k).sum(axis=0)
+    reach = dist[last, np.arange(len(at))]
+    done = every | (dist[-1] - reach > _TIE_RTOL * dist[-1])
+    tied = np.diff(dist[: k + 2], axis=0) <= _TIE_RTOL * dist[1 : k + 2]
+    clear = done & ~(tied & (np.arange(len(tied))[:, None] <= last)).any(axis=0)
+    # Where the point and its k - 1 nearest are single rows, its row takes
+    # the first row of each of the next k as the tree reports them: every
+    # row of an input with no repeated point.
+    lone = clear & (last == k)
+    if lone.any():
+        near = cand[1 : k + 1, lone]
+        own = _rows(groups, at[lone], 0)
+        indices[own] = _rows(groups, near, 0).T
+        lengths[own] = np.sqrt(_squared_lengths(points[near], points[at[lone]])).T
+    read = clear & ~lone
+    if read.any():
+        _read_heads(points, groups, at[read], cand[: k + 1, read], upto[:, read], k, indices, lengths)
+    sort = done & ~clear
+    if sort.any():
+        near = dist[:, sort] - reach[sort] <= _TIE_RTOL * dist[:, sort]
+        _sort_heads(points, groups, at[sort], cand[:, sort], near, k, indices, lengths)
+    return at[~done]
 
 
 def _read_heads(points, groups, at, cand, upto, k: int, indices, lengths):
     """Heads of the points ``at`` in the tree's order of their neighbors ``cand``.
 
     ``upto`` counts the rows of ``cand`` up to each; the head takes all of
-    a point's rows up to its ``k + 1``-th. The points are read in chunks of
-    ``_QUERY_BLOCK_ROWS`` head rows.
+    a point's rows up to its ``k + 1``-th.
     """
-    step = max(1, _QUERY_BLOCK_ROWS // (k + 1))
-    for a in range(0, len(at), step):
-        near, size = cand[:, a : a + step], groups[2][cand[:, a : a + step]]
-        take = np.clip(k + 1 - upto[:, a : a + step] + size, 0, size)
-        entry, place = _spread(take.T.ravel())
-        near = near.T.ravel()[entry].reshape(-1, k + 1)
-        sq = _squared_lengths(points[near], points[at[a : a + step]][:, None, :])
-        head = _rows(groups, near, place.reshape(-1, k + 1))
-        _write(groups, at[a : a + step], head, sq, k, indices, lengths)
+    size = groups[2][cand]
+    take = np.clip(k + 1 - upto + size, 0, size)
+    entry, place = _spread(take.T.ravel())
+    near = cand.T.ravel()[entry].reshape(-1, k + 1)
+    sq = _squared_lengths(points[near], points[at][:, None, :])
+    head = _rows(groups, near, place.reshape(-1, k + 1))
+    _write(groups, at, head, sq, k, indices, lengths)
 
 
 def _sort_heads(points, groups, at, cand, near, k: int, indices, lengths):

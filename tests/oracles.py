@@ -21,18 +21,24 @@ from scipy.stats import multivariate_normal, norm, poisson
 def brute_knn(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs k-nearest-neighbor reference.
 
-    Computes the full (n, n) squared-distance matrix, excludes
-    self-distances, and sorts each row by (squared distance, index); two
-    distinct squared distances can share a rounded square root, so sorting
-    by the root would break such ties differently. Returns
-    ``(indices, distances)`` of shape ``(n, k)`` each.
+    Computes the full (n, n) squared-distance matrix and excludes
+    self-distances. A row's first ``k`` entries by (squared distance, index)
+    are among those at or below its ``k``-th smallest squared distance, so
+    only these are sorted, by that key; two distinct squared distances can
+    share a rounded square root, so sorting by the root would break such
+    ties differently. Returns ``(indices, distances)`` of shape ``(n, k)``
+    each.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     diff = X[:, None, :] - X[None, :, :]
     sq = (diff * diff).sum(axis=-1)
     np.fill_diagonal(sq, np.inf)
-    order = np.lexsort((np.tile(np.arange(n), (n, 1)), sq), axis=1)[:, :k]
+    bound = np.partition(sq, k - 1, axis=1)[:, k - 1 : k]
+    row, col = np.nonzero(sq <= bound)
+    # np.nonzero lists the entries row by row, so each row keeps its place.
+    col = col[np.lexsort((col, sq[row, col], row))]
+    order = col[np.searchsorted(row, np.arange(n))[:, None] + np.arange(k)]
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
 
 

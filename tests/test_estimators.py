@@ -1,6 +1,7 @@
 """Entropy/MI estimators: copula transform, gamma resolution, baselines."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,38 @@ def test_constant_column_is_degenerate(estimate):
     X[:, 2] = 0.1
     with pytest.raises(DegenerateSampleError, match="coordinate 2 has zero spread"):
         estimate(X)
+
+
+def test_signed_zero_column_is_degenerate():
+    # renyi_mi checks the spread of the copula, where -0.0 and 0.0 share a
+    # rank, as they are one value of the sample.
+    X = np.random.default_rng(11).random((500, 3))
+    X[:, 1] = np.where(np.arange(500) % 2, 0.0, -0.0)
+    with pytest.raises(DegenerateSampleError, match="coordinate 1 has zero spread"):
+        renyi_mi(X, EstimatorSettings(alpha=0.7))
+
+
+def test_too_few_points_come_before_zero_spread():
+    X = np.random.default_rng(11).random((3, 3))
+    X[:, 2] = 0.1
+    with pytest.raises(InsufficientPointsError):
+        renyi_mi(X, EstimatorSettings(alpha=0.7))
+
+
+def test_mi_holds_no_raw_copy_during_the_search():
+    # A rounded Gaussian sample: 98% of its rows are tied or piled. With the
+    # sample's own copy held through the copula's search, and each
+    # 16,384-point slice settled at once, this peaked at 17.2 MiB traced;
+    # without the copy, and in chunks of 4,096 points, at 13.2 MiB.
+    X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
+    settings = EstimatorSettings(alpha=0.7)
+    tracemalloc.start()
+    try:
+        renyi_mi(X, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
 
 
 class TestHistogramEstimators:

@@ -460,29 +460,32 @@ def _assert_blocks_match(monkeypatch, X, size, workers):
     return runs
 
 
-@pytest.mark.parametrize("size", ["1", "7", "n-1"])
+@pytest.mark.parametrize("size", ["1", "7", "14", "n-1"])
 @pytest.mark.parametrize("case", BLOCK_CASES)
 def test_blocked_query_matches_scan(monkeypatch, case, size):
+    # A slice of `size` points is settled in chunks of size // (k + 1)
+    # points: 14 splits each slice into chunks of 3 and a last one of 2.
     X = BLOCK_CASES[case](np.random.default_rng(12))
     n, k = len(X), 3
-    size = {"1": 1, "7": 7, "n-1": n - 1}[size]
-    [(slices, asked)] = _assert_blocks_match(monkeypatch, X, size, workers=(1,))
-    assert len(slices) == -(-len(np.unique(X, axis=0)) // size)
-    if case == "continuous":
-        # No tie work: each row is asked once, in the first query of its slice.
-        assert [m for m, _ in asked] == [k + 2] * len(slices)
-    if case == "rounded-piles":
-        # The pile that ends the leaf order of a tree over every row spans
-        # two blocks of rows in that order. The tree holds it once: it is
-        # one point of the last slice, asked once, at k + 2, and its eight
-        # rows need no wider query.
-        order = cKDTree(X).indices
-        pile = np.flatnonzero((X == X[order[-1]]).all(axis=1))
-        block = np.argsort(order)[pile] // size
-        assert block.max() == (n - 1) // size and block.min() < block.max()
-        assert (slices[-1][-1] == X[pile[0]]).all()
-        at_pile = [m for m, x in asked if (x == X[pile[0]]).all(axis=1).any()]
-        assert at_pile == [k + 2]
+    size = {"1": 1, "7": 7, "14": 14, "n-1": n - 1}[size]
+    for slices, asked in _assert_blocks_match(monkeypatch, X, size, workers=(1, -1)):
+        assert len(slices) == -(-len(np.unique(X, axis=0)) // size)
+        if case == "continuous":
+            # No tie work: each row is asked once, in the first query of its
+            # slice.
+            assert [m for m, _ in asked] == [k + 2] * len(slices)
+        if case == "rounded-piles":
+            # The pile that ends the leaf order of a tree over every row
+            # spans two blocks of rows in that order. The tree holds it once:
+            # it is one point of the last slice, asked once, at k + 2, and
+            # its eight rows need no wider query.
+            order = cKDTree(X).indices
+            pile = np.flatnonzero((X == X[order[-1]]).all(axis=1))
+            block = np.argsort(order)[pile] // size
+            assert block.max() == (n - 1) // size and block.min() < block.max()
+            assert (slices[-1][-1] == X[pile[0]]).all()
+            at_pile = [m for m, x in asked if (x == X[pile[0]]).all(axis=1).any()]
+            assert at_pile == [k + 2]
 
 
 def test_blocks_are_consecutive_slices_of_the_leaf_order(monkeypatch):
@@ -529,22 +532,24 @@ def _traced_peak(X):
 
 def test_scratch_is_bounded_by_one_block():
     # The (100000, 3) outputs take 4.6 MiB. Querying every row at once held
-    # about 37 MiB; one slice of points holds 12.9 MiB in all.
+    # about 37 MiB; one slice of points settled at once held 13.2 MiB in
+    # all, and settled in chunks of 4,096 points 10.0 MiB.
     X = np.random.default_rng(14).random((100_000, 3))
-    assert _traced_peak(X) < 20 * 2**20
+    assert _traced_peak(X) < 12 * 2**20
 
 
 def test_tie_scratch_is_bounded():
     # 98% of the rows of a rounded sample are tied or piled. Resolving them in
     # one batch, with each round sliced only at 2**24 coordinates, held
     # 38 MiB; a tree over the distinct points, searched in slices of 16,384,
-    # holds 15.9 MiB in all, with 4.6 MiB of output.
+    # held 15.8 MiB in all, and settled in chunks of 4,096 points 14.3 MiB,
+    # with 4.6 MiB of output.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
-    assert _traced_peak(X) < 24 * 2**20
+    assert _traced_peak(X) < 16 * 2**20
 
 
 def test_copula_tie_scratch_is_bounded():
-    # The copula of the same sample: 29 MiB in one batch, 15.5 MiB in
-    # slices.
+    # The copula of the same sample: 29 MiB in one batch, 14.9 MiB in
+    # slices, 13.2 MiB in slices settled in chunks.
     X = np.round(np.random.default_rng(0).standard_normal((100_000, 3)), 1)
-    assert _traced_peak(empirical_copula(X).points) < 22 * 2**20
+    assert _traced_peak(empirical_copula(X).points) < 15 * 2**20
