@@ -11,17 +11,14 @@ the single-rank constants as weights. The estimators and the ``calibrate``
 command take both numbers from one memoized function.
 
 The constant at a finite size can also be estimated by Monte Carlo on the
-cube (:func:`estimate_gamma`), and such estimates can be cached on disk
-(:class:`GammaCache`). No estimate and no command uses them; they are the
-cross-check of the closed forms, and the benchmark still builds caches.
+cube (:func:`estimate_gamma`). No estimate and no command uses it; it is the
+cross-check of the closed forms. :class:`GammaCache` stores nothing and
+stays only because the benchmark still passes one.
 """
 
 from __future__ import annotations
 
-import fcntl
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -29,8 +26,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from ._version import __version__
-from .errors import GammaCacheError
 from .graph import build_nn_graph, l_p
 from .points import NeighborSpec, as_neighbor_spec, check_integer, check_power, check_real
 
@@ -57,9 +52,8 @@ _BOUNDARY_NODES = 64
 class GammaKey:
     """Identifies one calibration target.
 
-    The cache treats two keys as equal only when all five fields match, so
-    estimates computed at different calibration sizes never collide. ``d``,
-    ``n_cal`` and ``reps`` must be integers (not bools or floats) with
+    Two keys are equal only when all five fields match. ``d``, ``n_cal``
+    and ``reps`` must be integers (not bools or floats) with
     ``n_cal > max(S)``, and ``p`` a real in (0, d).
     """
 
@@ -214,116 +208,19 @@ def _boundary_integral(d: int, p: float) -> float:
     return 0.5 * float(w @ (inside ** (-(p + 1.0) / d) - 1.0))
 
 
-_CACHE_FIELDS = ("d", "p", "S", "n_cal", "reps", "seed", "mean", "std_error", "tool_version")
-
-
-def estimate_record(est: GammaEstimate) -> dict:
-    """JSON-ready record of an estimate — the cache's line format."""
-    return {
-        "d": est.key.d,
-        "p": est.key.p,
-        "S": list(est.key.spec.indices),
-        "n_cal": est.key.n_cal,
-        "reps": est.key.reps,
-        "seed": est.seed,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "tool_version": __version__,
-    }
-
-
 class GammaCache:
-    """A JSON Lines cache of calibration results.
+    """A handle that the benchmark still passes; it stores nothing.
 
-    Each line is one record with fields ``d, p, S (sorted array), n_cal,
-    reps, seed, mean, std_error, tool_version``. On read every field is
-    checked as :class:`GammaKey` and :class:`GammaEstimate` check it (the
-    integers must be JSON integers, the reals non-bool finite numbers), so
-    a mistyped record raises :class:`GammaCacheError` naming its line
-    instead of matching a key. Floats are written with Python's
-    shortest-roundtrip repr, so cached means reload bit-exactly.
-    The one read is :meth:`lookup` and the one write the append in
-    :meth:`get_or_compute`; both hold an exclusive advisory lock on the
-    cache file, so concurrent processes may duplicate work but cannot
-    corrupt the file.
+    No estimate and no command reads a cache: every constant is closed-form.
+    ``perfbench/coldcache.py`` still builds one from a path and passes it as
+    ``EstimatorSettings(cache=)`` and as the study drivers' ``cache=``, and
+    ``perfbench/spans.py`` wraps :meth:`get_or_compute`. ROADMAP items 0 and
+    3 delete this class with those users.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
 
-    def _parse(self, fh) -> list[GammaEstimate]:
-        out = []
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GammaCacheError(f"{self.path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            out.append(self._validate(rec, lineno))
-        return out
-
-    def _validate(self, rec, lineno: int) -> GammaEstimate:
-        """The estimate a record holds, every field checked as the constructors check it."""
-        where = f"{self.path}: line {lineno}"
-        if not isinstance(rec, dict):
-            raise GammaCacheError(f"{where}: record is not a JSON object")
-        missing = [f for f in _CACHE_FIELDS if f not in rec]
-        if missing:
-            raise GammaCacheError(f"{where}: invalid gamma record, missing fields {missing}")
-        ranks = "S must be a sorted array of distinct positive integers"
-        try:
-            if not isinstance(rec["S"], list):
-                raise ValueError(ranks)
-            key = GammaKey(d=rec["d"], p=rec["p"], spec=rec["S"], n_cal=rec["n_cal"], reps=rec["reps"])
-            if rec["S"] != list(key.spec):
-                raise ValueError(ranks)
-            if not isinstance(rec["tool_version"], str):
-                raise ValueError(f"tool_version must be a string, got {rec['tool_version']!r}")
-            return GammaEstimate(
-                key=key, seed=rec["seed"], mean=rec["mean"], std_error=rec["std_error"]
-            )
-        except ValueError as exc:
-            raise GammaCacheError(f"{where}: invalid gamma record, {exc}") from None
-
-    def lookup(self, key: GammaKey) -> GammaEstimate | None:
-        """The first cached estimate matching ``key``, if any.
-
-        Every record is parsed and validated under the lock, so a corrupt
-        line raises :class:`GammaCacheError` whether or not it holds ``key``.
-        """
-        if not self.path.exists():
-            return None
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                return next((est for est in self._parse(fh) if est.key == key), None)
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
     def get_or_compute(self, key: GammaKey, seed: int = 0) -> tuple[GammaEstimate, bool]:
-        """Return ``(estimate, was_hit)``; compute and persist on a miss.
-
-        The cache is re-checked after computing, so if a concurrent process
-        stored the same key first, its record wins and all callers see
-        identical bytes.
-        """
-        hit = self.lookup(key)
-        if hit is not None:
-            return hit, True
-        est = estimate_gamma(key, seed=seed)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+", encoding="utf-8") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                for cached in self._parse(fh):
-                    if cached.key == key:
-                        return cached, True
-                fh.seek(0, os.SEEK_END)
-                fh.write(json.dumps(estimate_record(est)) + "\n")
-                fh.flush()
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        return est, False
+        """Return ``(estimate_gamma(key, seed), False)``; nothing is stored."""
+        return estimate_gamma(key, seed=seed), False

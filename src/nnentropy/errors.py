@@ -6,7 +6,6 @@ __all__ = [
     "OutsideCubeError",
     "DegenerateSampleError",
     "HistogramInfeasibleError",
-    "GammaCacheError",
     "DataFormatError",
 ]
 
@@ -35,10 +34,6 @@ class DegenerateSampleError(NNEntropyError, ValueError):
 
 class HistogramInfeasibleError(NNEntropyError, ValueError):
     """A histogram grid would exceed the cell budget."""
-
-
-class GammaCacheError(NNEntropyError, ValueError):
-    """A :class:`GammaCache` file is malformed; no command reads a cache."""
 
 
 class DataFormatError(NNEntropyError, ValueError):

@@ -85,8 +85,9 @@ class EstimatorSettings:
         :func:`boundary_coefficient`), because the empirical copula lies in
         the unit cube.
     cache : GammaCache or None
-        Checked, but no estimate reads it: the constant is closed-form.
-        It stays while the benchmark still passes one.
+        Checked, but ignored: the constant is closed-form and a
+        :class:`GammaCache` stores nothing. It stays while the benchmark
+        still passes one.
     workers : int
         Cap on the worker threads of neighbor queries: -1 uses all cores,
         otherwise an integer >= 1 (not a bool or a float). Small queries

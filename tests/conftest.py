@@ -1,4 +1,4 @@
-"""Shared fixtures: a session-wide calibration cache and terminal output."""
+"""Shared fixtures: a session-wide gamma cache handle and terminal output."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ hyp_settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def gamma_cache(tmp_path_factory) -> GammaCache:
-    """One on-disk calibration cache shared by the whole session."""
+    """One gamma cache handle shared by the whole session; estimates accept and ignore it."""
     return GammaCache(tmp_path_factory.mktemp("calibration") / "gamma.jsonl")
 
 

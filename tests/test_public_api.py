@@ -1,7 +1,9 @@
-"""The package's public list is the union of its modules' ``__all__`` lists."""
+"""The package's public list is the union of its modules' ``__all__`` lists, and it imports anywhere."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from types import ModuleType
 
@@ -30,3 +32,9 @@ def test_init_defines_no_public_name_of_its_own():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert defined == set(nnentropy.__all__) - {"__version__"}
+
+
+def test_imports_without_posix_only_modules():
+    """``fcntl`` exists on POSIX only, so the package must not need it."""
+    code = 'import sys\nsys.modules["fcntl"] = None\nimport nnentropy\n'
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
