@@ -224,13 +224,24 @@ class TestBoundaryCoefficient:
         assert abs(est.mean - predicted) <= 3.0 * est.std_error
 
 
-def test_gamma_cache_is_a_handle_that_stores_nothing(tmp_path):
+@pytest.mark.parametrize(
+    "key, seed",
+    [(FAST_KEY, {"seed": 5}), (GammaKey(d=3, p=0.9, spec=(1, 2), n_cal=2000, reps=2), {})],
+    ids=["seed-5", "rank-set-default-seed"],
+)
+def test_gamma_cache_is_a_handle_that_stores_nothing(tmp_path, key, seed):
     """``get_or_compute`` returns the Monte Carlo bitwise, reports a miss and writes no file."""
     cache = GammaCache(tmp_path / "g.jsonl")
-    est, was_hit = cache.get_or_compute(FAST_KEY, seed=5)
-    expected = estimate_gamma(FAST_KEY, seed=5)
+    est, was_hit = cache.get_or_compute(key, **seed)
+    expected = estimate_gamma(key, seed=seed.get("seed", 0))
     assert was_hit is False
     assert est == expected
     assert est.mean.hex() == expected.mean.hex()
     assert est.std_error.hex() == expected.std_error.hex()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gamma_cache_keeps_its_path_and_creates_nothing(tmp_path):
+    cache = GammaCache(str(tmp_path / "sub" / "g.jsonl"))
+    assert cache.path == tmp_path / "sub" / "g.jsonl"
     assert list(tmp_path.iterdir()) == []

@@ -217,6 +217,12 @@ class TestMi:
         assert report["warnings"] == []
         assert report["gamma_source"] == "boundary" and "gamma_std_error" not in report
 
+    def test_cache_flag_is_ignored(self, uniform3_csv, tmp_path, capsys):
+        argv = ["mi", uniform3_csv, "--alpha", "0.7"]
+        cache = tmp_path / "gamma.jsonl"
+        assert run_cli(argv + ["--cache", str(cache)], capsys) == run_cli(argv, capsys)
+        assert not cache.exists()
+
     def test_low_dimension_warns(self, tmp_path, capsys):
         path = write_csv(tmp_path / "pair.csv", np.random.default_rng(7).random((400, 2)))
         code, out, _ = run_cli(

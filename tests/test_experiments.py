@@ -9,6 +9,7 @@ import pytest
 from nnentropy import (
     DataFormatError,
     EstimatorSettings,
+    GammaCache,
     Gaussian,
     IsaExperimentConfig,
     PAPER_SCALE_ISA,
@@ -242,6 +243,12 @@ class TestRunRateExperiment:
         b = run_rate_experiment(config, seed=6, cache=gamma_cache)
         assert a.rows == b.rows
 
+    def test_cache_is_ignored(self, tmp_path):
+        config = _tiny_rate_config()
+        cache = GammaCache(tmp_path / "gamma.jsonl")
+        assert run_rate_experiment(config, seed=9, cache=cache).rows == run_rate_experiment(config, seed=9).rows
+        assert not cache.path.exists()
+
     def test_summary_and_csv(self, gamma_cache, tmp_path):
         config = _tiny_rate_config()
         result = run_rate_experiment(config, seed=7, cache=gamma_cache)
@@ -344,6 +351,14 @@ class TestRunIsaExperiment:
         b = run_isa_experiment(_tiny_isa_config(), seed=2, cache=gamma_cache)
         assert a.to_dict() == b.to_dict()
         assert np.array_equal(a.block_norms, b.block_norms)
+
+    def test_cache_is_ignored(self, tmp_path):
+        cache = GammaCache(tmp_path / "gamma.jsonl")
+        a = run_isa_experiment(_tiny_isa_config(), seed=4, cache=cache)
+        b = run_isa_experiment(_tiny_isa_config(), seed=4)
+        assert a.to_dict() == b.to_dict()
+        assert np.array_equal(a.block_norms, b.block_norms)
+        assert not cache.path.exists()
 
     def test_block_norms_csv(self, gamma_cache, tmp_path):
         result = run_isa_experiment(_tiny_isa_config(), seed=3, cache=gamma_cache)
