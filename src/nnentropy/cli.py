@@ -16,7 +16,8 @@ cell in the first row).
 
 Exit codes: 0 success; 2 usage error (bad flags or parameter ranges);
 3 data error (unreadable input, malformed config, a file that cannot be
-read or written); 4 numerical error (degenerate sample, infeasible histogram).
+read or written); 4 numerical error (degenerate sample, infeasible histogram,
+an estimate beyond float64's range).
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ class DegenerateSampleError(NNEntropyError, ValueError):
 
     Raised, for example, when every edge of a neighbor graph has length
     zero (all points coincide), when neighbor distances overflow or
-    underflow float64, or when a coordinate has zero spread where a
-    positive spread is required.
+    underflow float64, when ``L_p`` or an estimate overflows float64, or
+    when a coordinate has zero spread where a positive spread is required.
     """
 
 

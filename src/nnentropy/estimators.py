@@ -32,6 +32,7 @@ from .graph import NNGraph, build_nn_graph, l_p
 from .points import (
     NeighborSpec,
     PointSet,
+    _json_form,
     as_neighbor_spec,
     as_point_set,
     check_alpha,
@@ -133,19 +134,8 @@ class EstimateReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        """JSON-ready dictionary of all fields."""
-        return {
-            "value": self.value,
-            "kind": self.kind,
-            "n": self.n,
-            "d": self.d,
-            "alpha": self.alpha,
-            "p": self.p,
-            "S": list(self.spec) if self.spec is not None else None,
-            "gamma": self.gamma,
-            "gamma_source": self.gamma_source,
-            "warnings": list(self.warnings),
-        }
+        """JSON-ready dictionary of all fields, ``spec`` under ``"S"``."""
+        return _json_form(self)
 
 
 def _resolve_gamma(settings: EstimatorSettings, d: int, p: float, copula_n: int | None):
@@ -175,9 +165,10 @@ def renyi_entropy(points, settings: EstimatorSettings) -> EstimateReport:
     InsufficientPointsError
         If ``n <= max(spec)``.
     DegenerateSampleError
-        If a coordinate takes one value (see :func:`_check_spread`), or if
+        If a coordinate takes one value (see :func:`_check_spread`), if
         the total edge length is zero (every point lies in a pile of more
-        than ``max(spec)`` copies).
+        than ``max(spec)`` copies), or if it or its ratio to
+        ``gamma * n^(1-p/d)`` leaves float64's positive finite range.
     """
     ps = as_point_set(points)
     graph = build_nn_graph(ps, settings.spec, workers=settings.workers)
@@ -213,10 +204,20 @@ def _graph_entropy(
     total = l_p(graph, p)
     if total <= 0.0:
         raise DegenerateSampleError("degenerate sample: total edge length is zero")
+    if total == math.inf:
+        raise DegenerateSampleError(
+            f"degenerate sample: the total edge length L_p at p = {p:g} overflows float64; "
+            "rescale the data"
+        )
     gamma, source = _resolve_gamma(settings, ps.d, p, ps.n if copula else None)
-    value = math.log(total / (gamma * ps.n ** (1.0 - p / ps.d))) / (1.0 - settings.alpha)
+    ratio = total / (gamma * ps.n ** (1.0 - p / ps.d))
+    if not 0.0 < ratio < math.inf:
+        raise DegenerateSampleError(
+            f"estimate out of float64 range: L_p / (gamma n^(1-p/d)) = {ratio!r} with "
+            f"L_p = {total!r}, gamma = {gamma!r}, n = {ps.n}"
+        )
     return EstimateReport(
-        value=value,
+        value=math.log(ratio) / (1.0 - settings.alpha),
         kind="entropy",
         n=ps.n,
         d=ps.d,

@@ -4,10 +4,11 @@ Two studies ship with the package. The convergence-rate study estimates
 mutual information on growing samples from a known distribution and
 records per-run absolute errors for the neighbor-graph estimators, the
 histogram baseline, and a theoretical reference slope anchored at the
-first grid point. The subspace-separation study mixes independent wireframe
-sources through a random matrix and runs the full separation pipeline,
-scoring the result against the known mixing. Both are driven by small JSON
-configs (parsed here) and emit plot-ready long-format tables.
+smallest size, the first of a strictly increasing grid. The
+subspace-separation study mixes independent wireframe sources through a
+random matrix and runs the full separation pipeline, scoring the result
+against the known mixing. Both are driven by small JSON configs (parsed
+here) and emit plot-ready long-format tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .estimators import DEFAULT_SPEC, EstimatorSettings, empirical_copula, histo
 from .estimators import histogram_mi, renyi_mi  # noqa: F401
 from .graph import _rank_columns, build_nn_graph
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
-from .points import NeighborSpec, as_neighbor_spec, check_alpha, check_integer, check_real
+from .points import NeighborSpec, _json_form, _json_keys, as_neighbor_spec, check_alpha
+from .points import check_integer, check_real
 from .samplers import (
     WIREFRAME_SHAPES,
     DistributionSpec,
@@ -117,13 +119,16 @@ class RateExperimentConfig:
 
     ``truth`` is the target mutual information the errors are measured
     against; :meth:`from_dict` resolves the string ``"auto"`` through
-    :func:`mi_truth`. ``estimators`` pairs a CSV label (a string) with the
-    neighbor ranks it uses. Every field is checked on construction: the
-    distribution must have at least two coordinates, the sizes, ``runs``,
-    ``n_cal`` and ``reps`` must be integers (not bools or floats), every
-    size and ``n_cal`` larger than the largest rank, ``alpha`` a real in
-    (0, 1) and ``histogram`` a bool. ``n_cal`` and ``reps`` are echoed in
-    :meth:`to_dict` but affect no estimate: the constant is closed-form.
+    :func:`mi_truth`. ``estimators`` pairs a CSV label (a string other than
+    ``"hist"`` and ``"theoretical"``, which label the baseline and reference
+    rows) with the neighbor ranks it uses. Every field is checked on
+    construction: the distribution must have at least two coordinates, the
+    sizes, ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
+    floats), every size and ``n_cal`` larger than the largest rank, the
+    sizes strictly increasing, ``alpha`` a real in (0, 1) and ``histogram``
+    a bool. ``n_cal`` and ``reps`` are echoed in :meth:`to_dict` but affect
+    no estimate: the constant is closed-form. The JSON form has one key per
+    field, named as the field.
     """
 
     distribution: DistributionSpec
@@ -146,6 +151,11 @@ class RateExperimentConfig:
         for label, _ in ests:
             if not isinstance(label, str):
                 raise ValueError(f"estimator label must be a string, got {label!r}")
+            if label in ("hist", "theoretical"):
+                raise ValueError(
+                    f"estimator label {label!r} is reserved for the histogram baseline "
+                    "and theoretical reference rows"
+                )
         if len({label for label, _ in ests}) != len(ests):
             raise ValueError("estimator labels must be distinct")
         object.__setattr__(self, "estimators", ests)
@@ -153,6 +163,8 @@ class RateExperimentConfig:
         if not isinstance(self.n_grid, (list, tuple)) or not self.n_grid:
             raise ValueError(f"n_grid must be a nonempty list of sizes, got {self.n_grid!r}")
         grid = tuple(check_integer(n, "n_grid size", k + 1) for n in self.n_grid)
+        if any(a >= b for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"n_grid must strictly increase, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
@@ -166,16 +178,10 @@ class RateExperimentConfig:
         """Build a config from its JSON form, resolving ``"truth": "auto"``."""
         if not isinstance(obj, dict):
             raise DataFormatError("rate config must be a JSON object")
-        known = {
-            "distribution", "truth", "n_grid", "runs", "alpha",
-            "estimators", "histogram", "n_cal", "reps",
-        }
-        check_json_keys(obj, known, "rate config")
+        check_json_keys(obj, _json_keys(cls), "rate config")
         if "distribution" not in obj:
             raise DataFormatError("rate config needs a 'distribution'")
-        dist = _distribution_from_json(obj["distribution"])
-        fields = ("n_grid", "runs", "histogram", "n_cal", "reps")
-        kwargs = {key: obj[key] for key in fields if key in obj}
+        kwargs = dict(obj, distribution=_distribution_from_json(obj["distribution"]))
         if "estimators" in obj:
             ests = obj["estimators"]
             if not isinstance(ests, list):
@@ -192,26 +198,20 @@ class RateExperimentConfig:
         if not (truth == "auto" or isinstance(truth, Real)):
             raise DataFormatError(f'truth must be a number or "auto", got {truth!r}')
         try:
-            alpha = check_alpha(obj.get("alpha", 0.7))
+            kwargs["alpha"] = check_alpha(obj.get("alpha", 0.7))
             if truth == "auto":
-                truth = mi_truth(dist, alpha)
-            return cls(distribution=dist, truth=truth, alpha=alpha, **kwargs)
+                kwargs["truth"] = mi_truth(kwargs["distribution"], kwargs["alpha"])
+            return cls(**kwargs)
         except ValueError as exc:
             raise DataFormatError(str(exc)) from None
 
     def to_dict(self) -> dict:
         """JSON-ready form (with the truth resolved to a number)."""
-        return {
-            "distribution": spec_to_json(self.distribution),
-            "truth": self.truth,
-            "n_grid": list(self.n_grid),
-            "runs": self.runs,
-            "alpha": self.alpha,
-            "estimators": [{"label": l, "S": list(s)} for l, s in self.estimators],
-            "histogram": self.histogram,
-            "n_cal": self.n_cal,
-            "reps": self.reps,
-        }
+        return _json_form(
+            self,
+            distribution=spec_to_json(self.distribution),
+            estimators=[{"label": l, "S": list(s)} for l, s in self.estimators],
+        )
 
 
 @dataclass(frozen=True)
@@ -290,9 +290,10 @@ def run_rate_experiment(
     ignored, since no constant is calibrated. Where the histogram baseline
     is infeasible, its rows are replaced by a single note row per size.
     The theoretical reference decays from the anchor (the "knn" — else
-    first — estimator's mean error at the smallest size) with the rate
-    exponent of the estimator's dimension; it is omitted below dimension 3,
-    where no rate guarantee exists.
+    first — estimator's mean error at the smallest size, the first of the
+    strictly increasing grid) with the rate exponent of the estimator's
+    dimension; it is omitted below dimension 3, where no rate guarantee
+    exists.
     """
     d = spec_dim(config.distribution)
     resolved = [
@@ -349,7 +350,8 @@ class IsaExperimentConfig:
     construction: ``subspace_dim``, ``n``, ``q``, ``n_cal`` and ``reps``
     must be integers (not bools or floats) and ``alpha`` a real in (0, 1).
     ``n_cal`` and ``reps`` are echoed in :meth:`to_dict` but affect no
-    estimate: the constant is closed-form.
+    estimate: the constant is closed-form. The JSON form has one key per
+    field, named as the field, with ``spec`` as ``"S"``.
     """
 
     shapes: tuple[str, ...]
@@ -395,34 +397,21 @@ class IsaExperimentConfig:
         """Build a config from its JSON form."""
         if not isinstance(obj, dict):
             raise DataFormatError("ISA config must be a JSON object")
-        known = {
-            "shapes", "subspace_dim", "n", "alpha", "S",
-            "mixing", "q", "n_cal", "reps",
-        }
-        check_json_keys(obj, known, "ISA config")
+        keys = _json_keys(cls)
+        check_json_keys(obj, keys, "ISA config")
         if "shapes" not in obj or not isinstance(obj["shapes"], list):
             raise DataFormatError("ISA config needs a 'shapes' list")
-        kwargs = {key: obj[key] for key in known & set(obj) if key not in ("shapes", "S")}
+        kwargs = {keys[key]: value for key, value in obj.items()}
         if "S" in obj:
             kwargs["spec"] = _ranks_from_json(obj["S"], "S")
         try:
-            return cls(shapes=tuple(obj["shapes"]), **kwargs)
+            return cls(**kwargs)
         except ValueError as exc:
             raise DataFormatError(str(exc)) from None
 
     def to_dict(self) -> dict:
         """JSON-ready form."""
-        return {
-            "shapes": list(self.shapes),
-            "subspace_dim": self.subspace_dim,
-            "n": self.n,
-            "alpha": self.alpha,
-            "S": list(self.spec),
-            "mixing": self.mixing,
-            "q": self.q,
-            "n_cal": self.n_cal,
-            "reps": self.reps,
-        }
+        return _json_form(self)
 
 
 # The full-size configuration from the source-separation study: six 3-D

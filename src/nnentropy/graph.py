@@ -130,13 +130,18 @@ def l_p(graph: NNGraph, p: float) -> float:
 
     Uses the conventions ``0^p = 0`` for ``p > 0`` and ``0^0 = 1``.
     Summation is exactly rounded (math.fsum), so the value is independent
-    of edge order and of how the graph was built.
+    of edge order and of how the graph was built. A sum beyond float64's
+    range is ``inf``, without a warning.
     """
-    powered = (graph.length ** check_power(p)).ravel()
+    with np.errstate(over="ignore"):  # an edge power beyond float64 is inf
+        powered = (graph.length ** check_power(p)).ravel()
     # Iterating the array would box every element as a numpy scalar; tolist()
     # hands fsum plain floats, a chunk at a time so the lists stay small.
-    return math.fsum(
-        itertools.chain.from_iterable(
-            powered[i : i + _FSUM_CHUNK].tolist() for i in range(0, powered.size, _FSUM_CHUNK)
+    try:
+        return math.fsum(
+            itertools.chain.from_iterable(
+                powered[i : i + _FSUM_CHUNK].tolist() for i in range(0, powered.size, _FSUM_CHUNK)
+            )
         )
-    )
+    except OverflowError:  # finite powers whose sum is beyond float64
+        return math.inf

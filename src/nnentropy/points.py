@@ -7,13 +7,15 @@ check for each kind of scalar parameter (an integer with a minimum, a
 worker-thread cap, the order alpha, the power p, a finite real) that every
 entry point of the package applies: an integer parameter must be an
 integer, not a bool or a float, and a real one a finite number, not a bool
-or a string. ``_times_transpose`` is the ISA's dense product.
+or a string. ``_times_transpose`` is the ISA's dense product, and
+``_json_form`` writes each JSON record (a config or an estimate report)
+from its dataclass fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -197,6 +199,25 @@ def as_neighbor_spec(obj) -> NeighborSpec:
     if isinstance(obj, NeighborSpec):
         return obj
     return NeighborSpec(obj)
+
+
+def _json_keys(cls) -> dict[str, str]:
+    """Map each JSON key of a dataclass record to its field: ``"S"`` to ``spec``, others alike."""
+    return {"S" if f.name == "spec" else f.name: f.name for f in fields(cls)}
+
+
+def _json_form(record, **special) -> dict:
+    """The JSON form of a dataclass record: one key per field, in field order.
+
+    Keys are as :func:`_json_keys` gives them, and tuples and rank sets are
+    written as lists. ``special`` gives the form of each field whose value
+    is not a plain JSON value.
+    """
+    form = {}
+    for key, name in _json_keys(type(record)).items():
+        value = special.get(name, getattr(record, name))
+        form[key] = list(value) if isinstance(value, (tuple, NeighborSpec)) else value
+    return form
 
 
 @dataclass(frozen=True)

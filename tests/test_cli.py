@@ -195,6 +195,22 @@ class TestEntropy:
         assert code == 4
         assert "overflow float64" in err
 
+    def test_overflowing_edge_powers_are_numerical_error(self, tmp_path, capsys):
+        # p = 2.85: the distances fit float64, their powers do not.
+        pts = np.random.default_rng(0).random((500, 3)) * 1e150
+        path = write_csv(tmp_path / "huge.csv", pts)
+        code, out, err = run_cli(["entropy", path, "--alpha", "0.05"], capsys)
+        assert (code, out) == (4, "")
+        assert "L_p at p = 2.85 overflows float64" in err
+
+    @pytest.mark.parametrize("gamma", ["1e-308", "1e308"])
+    @pytest.mark.parametrize("command", ["entropy", "mi"])
+    def test_gamma_at_the_float64_limits_is_numerical_error(self, tmp_path, command, gamma, capsys):
+        path = write_csv(tmp_path / "pts.csv", np.random.default_rng(0).random((500, 3)))
+        code, out, err = run_cli([command, path, "--alpha", "0.7", "--gamma", gamma], capsys)
+        assert (code, out) == (4, "")
+        assert "estimate out of float64 range" in err
+
     def test_underflowing_distances_are_numerical_error(self, tmp_path, capsys):
         pts = np.random.default_rng(7).random((500, 3)) * 1e-170
         path = write_csv(tmp_path / "tiny.csv", pts)
@@ -454,6 +470,19 @@ class TestRateExperiment:
         assert code == 3
         assert "unknown rate config keys" in err
 
+    @pytest.mark.parametrize("label", ["hist", "theoretical"])
+    def test_reserved_label_is_data_error(self, tmp_path, label, capsys):
+        config = tmp_path / "rate.json"
+        estimators = [{"label": label, "S": [1, 2, 3]}]
+        config.write_text(json.dumps({**self.CONFIG, "estimators": estimators}), encoding="utf-8")
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run_cli(
+            ["rate-experiment", "--config", str(config), "--out", str(out_csv)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert f"estimator label '{label}' is reserved" in err
+        assert not out_csv.exists()
+
     def test_unknown_distribution_key(self, tmp_path, capsys):
         distribution = {"kind": "gaussian", "d": 3, "rh0": 0.9}
         config = tmp_path / "rate.json"
@@ -469,8 +498,9 @@ class TestRateExperiment:
     @pytest.mark.parametrize(
         "field, value",
         [("runs", 2.5), ("runs", "3"), ("histogram", "false"),
-         ("estimators", [{"label": "a", "S": "1,2"}])],
-        ids=["float-runs", "string-runs", "string-histogram", "string-estimator-S"],
+         ("estimators", [{"label": "a", "S": "1,2"}]), ("n_grid", [128, 64])],
+        ids=["float-runs", "string-runs", "string-histogram", "string-estimator-S",
+             "decreasing-n_grid"],
     )
     def test_mistyped_field_is_data_error(self, tmp_path, field, value, capsys):
         config = tmp_path / "rate.json"

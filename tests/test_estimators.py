@@ -1,8 +1,9 @@
 """Entropy/MI estimators: copula transform, gamma resolution, baselines."""
 
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from nnentropy import (
     DegenerateSampleError,
+    EstimateReport,
     EstimatorSettings,
     GammaCache,
     GammaKey,
@@ -159,6 +161,47 @@ class TestRenyiEntropy:
         d = report.to_dict()
         assert d["S"] == [1, 2, 3]
         assert d["warnings"] == []
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda X: renyi_entropy(X, EstimatorSettings(alpha=0.6, gamma=1.5)),
+        lambda X: renyi_mi(X[:, :2], EstimatorSettings(alpha=0.3)),
+        lambda X: histogram_entropy(X, 0.7),
+    ],
+    ids=["renyi_entropy", "renyi_mi-with-warnings", "histogram_entropy"],
+)
+def test_report_dict_is_its_fields_in_order(estimate):
+    report = estimate(np.random.default_rng(3).random((200, 3)))
+    record = report.to_dict()
+    names = [f.name for f in fields(EstimateReport)]
+    assert list(record) == ["S" if name == "spec" else name for name in names]
+    for name, value in zip(names, record.values()):
+        field = getattr(report, name)
+        assert value == (list(field) if isinstance(field, tuple) else field)
+    assert record["S"] is None or isinstance(record["S"], list)
+    assert isinstance(record["warnings"], list)
+    assert json.loads(json.dumps(record)) == record
+
+
+class TestOutOfRangeEstimates:
+    """An estimate whose L_p, or L_p / (gamma n^(1-p/d)), is not a positive
+    finite float raises instead of reporting an infinity (or failing in
+    math.log)."""
+
+    def test_overflowing_edge_powers(self):
+        X = np.random.default_rng(0).random((500, 3)) * 1e150
+        with pytest.raises(DegenerateSampleError, match="L_p at p = 2.85 overflows float64"):
+            renyi_entropy(X, EstimatorSettings(alpha=0.05))
+
+    @pytest.mark.parametrize("gamma, ratio", [(1e-308, "inf"), (1e308, "0.0")])
+    @pytest.mark.parametrize("estimate", [renyi_entropy, renyi_mi])
+    def test_gamma_at_the_float64_limits(self, estimate, gamma, ratio):
+        X = np.random.default_rng(0).random((500, 3))
+        message = rf"estimate out of float64 range: L_p / \(gamma n\^\(1-p/d\)\) = {ratio} with"
+        with pytest.raises(DegenerateSampleError, match=message):
+            estimate(X, EstimatorSettings(alpha=0.7, gamma=gamma))
 
 
 def _rank_set_boundary(d, p, spec):

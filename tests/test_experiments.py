@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ class TestRateConfig:
         with pytest.raises(DataFormatError, match=message):
             RateExperimentConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("label", ["hist", "theoretical"])
+    def test_reserved_label_is_rejected(self, label):
+        # Its rows would merge with the histogram or reference rows.
+        message = f"estimator label '{label}' is reserved"
+        with pytest.raises(ValueError, match=message):
+            RateExperimentConfig(UniformCube(3), 0.0, estimators=((label, (1, 2, 3)),))
+        obj = {"distribution": {"kind": "uniform_cube", "d": 3},
+               "estimators": [{"label": "knn", "S": [1]}, {"label": label, "S": [1, 2, 3]}]}
+        with pytest.raises(DataFormatError, match=message):
+            RateExperimentConfig.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "grid", [[512, 256], [64, 64], [64, 128, 96]], ids=["decreasing", "repeated", "unsorted"]
+    )
+    def test_n_grid_must_strictly_increase(self, grid):
+        message = rf"n_grid must strictly increase, got \[{', '.join(map(str, grid))}\]"
+        with pytest.raises(ValueError, match=message):
+            RateExperimentConfig(UniformCube(3), 0.0, n_grid=tuple(grid))
+        obj = {"distribution": {"kind": "uniform_cube", "d": 3}, "n_grid": grid}
+        with pytest.raises(DataFormatError, match=message):
+            RateExperimentConfig.from_dict(obj)
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="runs"):
             RateExperimentConfig(distribution=UniformCube(2), truth=0.0, runs=0)
@@ -319,6 +342,24 @@ class TestIsaConfig:
     def test_from_dict_errors(self, obj, message):
         with pytest.raises(DataFormatError, match=message):
             IsaExperimentConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "cls, minimal",
+    [
+        (RateExperimentConfig, {"distribution": {"kind": "uniform_cube", "d": 3}}),
+        (IsaExperimentConfig, {"shapes": ["spiral", "zigzag"]}),
+    ],
+    ids=["rate", "isa"],
+)
+def test_accepted_json_keys_are_the_to_dict_keys(cls, minimal):
+    record = cls.from_dict(minimal).to_dict()
+    for key, value in record.items():
+        assert cls.from_dict({**minimal, key: value}).to_dict() == record
+    # Every other name is rejected, a field's name included where its key differs.
+    for key in {f.name for f in fields(cls)} - set(record) | {"bogus", "config"}:
+        with pytest.raises(DataFormatError, match=rf"unknown .* keys: \['{key}'\]"):
+            cls.from_dict({**minimal, key: 1})
 
 
 def _tiny_isa_config(**overrides):

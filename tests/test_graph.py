@@ -11,7 +11,9 @@ from nnentropy import (
     Cube,
     InsufficientPointsError,
     NeighborSpec,
+    NNGraph,
     OutsideCubeError,
+    PointSet,
     build_boundary_graph,
     build_nn_graph,
     graph,
@@ -92,6 +94,18 @@ class TestLP:
         g = build_nn_graph(LINE, NeighborSpec((1,)))
         with pytest.raises(ValueError):
             l_p(g, bad)
+
+    def test_power_beyond_float64_is_inf(self):
+        # (2e150)^2.85 overflows; l_p returns inf without numpy's RuntimeWarning.
+        g = build_nn_graph([[0.0], [1e150], [3e150]], NeighborSpec((1,)))
+        assert l_p(g, 2.85) == math.inf
+
+    def test_sum_beyond_float64_is_inf(self):
+        # Each power is finite but their exactly rounded sum is not, where
+        # math.fsum raises OverflowError.
+        ps = PointSet(np.arange(4.0)[:, None])
+        g = NNGraph(ps, NeighborSpec((1,)), np.zeros((4, 1), dtype=np.intp), np.full((4, 1), 1e308))
+        assert l_p(g, 1.0) == math.inf
 
     def test_rank_sums_decompose(self):
         """L_p over a rank set equals the sum over its singleton ranks."""
