@@ -181,6 +181,8 @@ def _load_json(path, what: str) -> dict:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON in {what}: {exc}") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: {what} is nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise DataFormatError(f"{path}: {what} must be a JSON object")
     return obj

@@ -7,8 +7,9 @@ histogram baseline, and a theoretical reference slope anchored at the
 smallest size, the first of a strictly increasing grid. The
 subspace-separation study mixes independent wireframe sources through a
 random matrix and runs the full separation pipeline, scoring the result
-against the known mixing. Both are driven by small JSON configs (parsed
-here) and emit plot-ready long-format tables.
+against the known mixing. Both are driven by small JSON configs, read
+like every JSON record by ``points._from_json``, and emit plot-ready
+long-format tables.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .estimators import DEFAULT_SPEC, EstimatorSettings, empirical_copula, histo
 from .estimators import histogram_mi, renyi_mi  # noqa: F401
 from .graph import _rank_columns, build_nn_graph
 from .isa import IsaProblem, IsaSolution, block_norm_matrix, run_isa
-from .points import NeighborSpec, _json_form, _json_keys, as_neighbor_spec, check_alpha
+from .points import NeighborSpec, _from_json, _json_form, as_neighbor_spec, check_alpha
 from .points import check_integer, check_real
 from .samplers import (
     WIREFRAME_SHAPES,
@@ -39,7 +39,6 @@ from .samplers import (
     Product,
     UniformCube,
     Wireframe3D,
-    check_json_keys,
     mix,
     sample,
     spec_dim,
@@ -93,24 +92,14 @@ def _ranks_from_json(value, where: str) -> list:
     return value
 
 
-def _distribution_from_json(obj) -> DistributionSpec:
-    """Parse a distribution, allowing a Gaussian (d, rho) shorthand.
-
-    ``{"kind": "gaussian", "d": 3, "rho": 0.5}`` expands to the
-    zero-mean equicorrelated Gaussian; everything else is the samplers'
-    canonical JSON form. Both reject keys they do not have.
-    """
-    if isinstance(obj, dict) and obj.get("kind") == "gaussian" and "cov" not in obj:
-        check_json_keys(obj, ("kind", "d", "rho"), "gaussian shorthand")
-        try:
-            d = check_integer(obj["d"], "d")
-            rho = check_real(obj.get("rho", 0.0), "rho", -math.inf)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"invalid gaussian shorthand: {exc}") from None
-        cov = np.full((d, d), rho)
-        np.fill_diagonal(cov, 1.0)
-        return Gaussian(mean=np.zeros(d), cov=cov)
-    return spec_from_json(obj)
+def _estimators_from_json(entries) -> tuple:
+    """The rate config's estimators as the JSON configs give them: ``{label, S}`` objects."""
+    if not isinstance(entries, list):
+        raise DataFormatError("'estimators' must be a list of {label, S} objects")
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != {"label", "S"}:
+            raise DataFormatError("each estimator must be an object with exactly 'label' and 'S'")
+    return tuple((e["label"], _ranks_from_json(e["S"], "estimators: S")) for e in entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +107,21 @@ class RateExperimentConfig:
     """Settings of one convergence-rate study.
 
     ``truth`` is the target mutual information the errors are measured
-    against; :meth:`from_dict` resolves the string ``"auto"`` through
-    :func:`mi_truth`. ``estimators`` pairs a CSV label (a string other than
-    ``"hist"`` and ``"theoretical"``, which label the baseline and reference
-    rows) with the neighbor ranks it uses. Every field is checked on
-    construction: the distribution must have at least two coordinates, the
-    sizes, ``runs``, ``n_cal`` and ``reps`` must be integers (not bools or
-    floats), every size and ``n_cal`` larger than the largest rank, the
-    sizes strictly increasing, ``alpha`` a real in (0, 1) and ``histogram``
-    a bool. ``n_cal`` and ``reps`` are echoed in :meth:`to_dict` but affect
+    against; the string ``"auto"``, the default, is resolved on
+    construction through :func:`mi_truth`. ``estimators`` pairs a CSV label
+    (a string other than ``"hist"`` and ``"theoretical"``, which label the
+    baseline and reference rows) with the neighbor ranks it uses. Every
+    field is checked on construction: the distribution must have at least
+    two coordinates, the sizes, ``runs``, ``n_cal`` and ``reps`` must be
+    integers (not bools or floats), every size and ``n_cal`` larger than
+    the largest rank, the sizes strictly increasing, ``alpha`` a real in
+    (0, 1) and ``histogram`` a bool. ``n_cal`` and ``reps`` are echoed in :meth:`to_dict` but affect
     no estimate: the constant is closed-form. The JSON form has one key per
     field, named as the field.
     """
 
     distribution: DistributionSpec
-    truth: float
+    truth: float | str = "auto"
     n_grid: tuple[int, ...] = (256, 512, 1024, 2048, 4096)
     runs: int = 25
     alpha: float = 0.7
@@ -144,7 +133,13 @@ class RateExperimentConfig:
     def __post_init__(self) -> None:
         if spec_dim(self.distribution) < 2:
             raise ValueError("mutual information needs a distribution with d >= 2 coordinates")
-        object.__setattr__(self, "truth", check_real(self.truth, "truth", -math.inf))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        truth = self.truth
+        if isinstance(truth, str):
+            if truth != "auto":
+                raise ValueError(f'truth must be a number or "auto", got {truth!r}')
+            truth = mi_truth(self.distribution, self.alpha)
+        object.__setattr__(self, "truth", check_real(truth, "truth", -math.inf))
         ests = tuple((label, as_neighbor_spec(spec)) for label, spec in self.estimators)
         if not ests:
             raise ValueError("at least one estimator is required")
@@ -167,7 +162,6 @@ class RateExperimentConfig:
             raise ValueError(f"n_grid must strictly increase, got {list(grid)}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "runs", check_integer(self.runs, "runs"))
-        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if not isinstance(self.histogram, bool):
             raise ValueError(f"histogram must be true or false, got {self.histogram!r}")
         object.__setattr__(self, "n_cal", check_integer(self.n_cal, "n_cal", k + 1))
@@ -175,35 +169,11 @@ class RateExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> RateExperimentConfig:
-        """Build a config from its JSON form, resolving ``"truth": "auto"``."""
-        if not isinstance(obj, dict):
-            raise DataFormatError("rate config must be a JSON object")
-        check_json_keys(obj, _json_keys(cls), "rate config")
-        if "distribution" not in obj:
+        """Build a config from its JSON form."""
+        if isinstance(obj, dict) and "distribution" not in obj:
             raise DataFormatError("rate config needs a 'distribution'")
-        kwargs = dict(obj, distribution=_distribution_from_json(obj["distribution"]))
-        if "estimators" in obj:
-            ests = obj["estimators"]
-            if not isinstance(ests, list):
-                raise DataFormatError("'estimators' must be a list of {label, S} objects")
-            for entry in ests:
-                if not isinstance(entry, dict) or set(entry) != {"label", "S"}:
-                    raise DataFormatError(
-                        "each estimator must be an object with exactly 'label' and 'S'"
-                    )
-            kwargs["estimators"] = tuple(
-                (entry["label"], _ranks_from_json(entry["S"], "estimators: S")) for entry in ests
-            )
-        truth = obj.get("truth", "auto")
-        if not (truth == "auto" or isinstance(truth, Real)):
-            raise DataFormatError(f'truth must be a number or "auto", got {truth!r}')
-        try:
-            kwargs["alpha"] = check_alpha(obj.get("alpha", 0.7))
-            if truth == "auto":
-                kwargs["truth"] = mi_truth(kwargs["distribution"], kwargs["alpha"])
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise DataFormatError(str(exc)) from None
+        return _from_json(cls, obj, "rate config", distribution=spec_from_json,
+                          estimators=_estimators_from_json)
 
     def to_dict(self) -> dict:
         """JSON-ready form (with the truth resolved to a number)."""
@@ -365,6 +335,8 @@ class IsaExperimentConfig:
     reps: int = DEFAULT_REPS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.shapes, (list, tuple)):
+            raise ValueError(f"need a 'shapes' list of wireframe names, got {self.shapes!r}")
         shapes = tuple(str(s) for s in self.shapes)
         if len(shapes) < 2:
             raise ValueError("need at least two source shapes")
@@ -395,19 +367,7 @@ class IsaExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> IsaExperimentConfig:
         """Build a config from its JSON form."""
-        if not isinstance(obj, dict):
-            raise DataFormatError("ISA config must be a JSON object")
-        keys = _json_keys(cls)
-        check_json_keys(obj, keys, "ISA config")
-        if "shapes" not in obj or not isinstance(obj["shapes"], list):
-            raise DataFormatError("ISA config needs a 'shapes' list")
-        kwargs = {keys[key]: value for key, value in obj.items()}
-        if "S" in obj:
-            kwargs["spec"] = _ranks_from_json(obj["S"], "S")
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise DataFormatError(str(exc)) from None
+        return _from_json(cls, obj, "ISA config", spec=lambda ranks: _ranks_from_json(ranks, "S"))
 
     def to_dict(self) -> dict:
         """JSON-ready form."""

@@ -8,8 +8,9 @@ worker-thread cap, the order alpha, the power p, a finite real) that every
 entry point of the package applies: an integer parameter must be an
 integer, not a bool or a float, and a real one a finite number, not a bool
 or a string. ``_times_transpose`` is the ISA's dense product, and
-``_json_form`` writes each JSON record (a config or an estimate report)
-from its dataclass fields.
+``_json_form`` writes each JSON record (a config, a distribution or an
+estimate report) from its dataclass fields, and ``_from_json`` reads each
+one back.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import OutsideCubeError
+from .errors import DataFormatError, OutsideCubeError
 
 __all__ = [
     "PointSet",
@@ -209,15 +210,46 @@ def _json_keys(cls) -> dict[str, str]:
 def _json_form(record, **special) -> dict:
     """The JSON form of a dataclass record: one key per field, in field order.
 
-    Keys are as :func:`_json_keys` gives them, and tuples and rank sets are
-    written as lists. ``special`` gives the form of each field whose value
-    is not a plain JSON value.
+    Keys are as :func:`_json_keys` gives them; tuples and rank sets are
+    written as lists, and numpy arrays as nested lists. ``special`` gives
+    the form of each field whose value is not a plain JSON value.
     """
     form = {}
     for key, name in _json_keys(type(record)).items():
         value = special.get(name, getattr(record, name))
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         form[key] = list(value) if isinstance(value, (tuple, NeighborSpec)) else value
     return form
+
+
+def _from_json(cls, obj, what: str, **special):
+    """The dataclass record ``cls`` read from its JSON form, the inverse of :func:`_json_form`.
+
+    ``obj`` must be a JSON object whose keys are among those :func:`_json_keys`
+    gives; a missing key takes the field's default. ``special`` maps each
+    field whose JSON form is not its value to the function that reads the
+    form. A ``TypeError`` or ``ValueError`` from those functions or from the
+    record's own checks (a missing required key among them), and a
+    ``RecursionError`` from records nested too deeply, becomes a
+    :class:`DataFormatError` that names ``what``.
+    """
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{what} must be a JSON object")
+    keys = _json_keys(cls)
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {keys[key]: value for key, value in obj.items()}
+    try:
+        for name, read in special.items():
+            if name in kwargs:
+                kwargs[name] = read(kwargs[name])
+        return cls(**kwargs)
+    except DataFormatError:
+        raise
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise DataFormatError(f"invalid {what}: {exc}") from None
 
 
 @dataclass(frozen=True)

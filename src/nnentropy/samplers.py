@@ -1,21 +1,28 @@
 """Reproducible synthetic data generators.
 
-Distribution specifications are small frozen dataclasses, serializable to
-JSON for experiment configs; the JSON reader rejects any key that the
-spec's kind does not have. ``WIREFRAME_SHAPES`` maps each wireframe name to
-a function returning the shape's fixed polylines (vertex arrays). Sampling
-is deterministic given a seed; nested specs (products) derive independent
-child streams, so components never share randomness.
+Distribution specifications are small frozen dataclasses. Each one's JSON
+form, used by the experiment configs, is its ``kind`` (its key in
+``_KINDS``) plus one key per field, written and read by
+``points._json_form`` and ``points._from_json``; any other key is rejected.
+``spec_from_json`` also reads the Gaussian shorthand
+``{"kind": "gaussian", "d": d, "rho": rho}`` (the zero-mean Gaussian with
+unit variances and every correlation ``rho``), at the top level and inside
+a product's ``parts`` alike. ``WIREFRAME_SHAPES`` maps each wireframe name
+to a function returning the shape's fixed polylines (vertex arrays).
+Sampling is deterministic given a seed; nested specs (products) derive
+independent child streams, so components never share randomness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataFormatError
-from .points import PointSet, _times_transpose, as_point_set, check_integer, check_real
+from .points import PointSet, _from_json, _json_form, _times_transpose, as_point_set
+from .points import check_integer, check_real
 
 __all__ = [
     "UniformCube",
@@ -75,13 +82,13 @@ class Wireframe3D:
     subspace experiments.
     """
 
-    shape_id: str
+    shape: str
     axes: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self) -> None:
-        if self.shape_id not in WIREFRAME_SHAPES:
+        if self.shape not in WIREFRAME_SHAPES:
             known = ", ".join(sorted(WIREFRAME_SHAPES))
-            raise ValueError(f"unknown wireframe shape {self.shape_id!r} (known: {known})")
+            raise ValueError(f"unknown wireframe shape {self.shape!r} (known: {known})")
         axes = tuple(check_integer(a, "axes", 0) for a in self.axes)
         if not axes or len(set(axes)) != len(axes) or any(a > 2 for a in axes):
             raise ValueError(f"axes must be distinct values from (0, 1, 2), got {self.axes!r}")
@@ -99,12 +106,32 @@ class Product:
         if not parts:
             raise ValueError("product needs at least one component")
         for part in parts:
-            if not isinstance(part, (UniformCube, Gaussian, Wireframe3D, Product)):
+            if not isinstance(part, tuple(_KINDS.values())):
                 raise ValueError(f"unsupported product component {part!r}")
         object.__setattr__(self, "parts", parts)
 
 
 DistributionSpec = UniformCube | Gaussian | Wireframe3D | Product
+
+# The class of each distribution kind, by the name its JSON form gives.
+_KINDS = {"uniform_cube": UniformCube, "gaussian": Gaussian, "wireframe3d": Wireframe3D,
+          "product": Product}
+
+
+@dataclass(frozen=True)
+class _GaussianShorthand:
+    """The JSON shorthand ``{"kind": "gaussian", "d": d, "rho": rho}``.
+
+    It names the zero-mean Gaussian with unit variances and every
+    correlation ``rho``; :func:`spec_from_json` expands it to that full form.
+    """
+
+    d: int
+    rho: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", check_integer(self.d, "d"))
+        object.__setattr__(self, "rho", check_real(self.rho, "rho", -math.inf))
 
 
 def _polyline(*vertices) -> np.ndarray:
@@ -207,7 +234,7 @@ def sample(spec: DistributionSpec, n: int, seed=0) -> PointSet:
         root = (u * np.sqrt(w)) @ u.T  # symmetric square root
         return PointSet(rng.standard_normal((n, spec.mean.size)) @ root + spec.mean)
     if isinstance(spec, Wireframe3D):
-        polylines = WIREFRAME_SHAPES[spec.shape_id]()
+        polylines = WIREFRAME_SHAPES[spec.shape]()
         starts = np.vstack([pl[:-1] for pl in polylines])
         ends = np.vstack([pl[1:] for pl in polylines])
         seg_len = np.sqrt(((ends - starts) ** 2).sum(axis=1))
@@ -220,51 +247,38 @@ def sample(spec: DistributionSpec, n: int, seed=0) -> PointSet:
 
 
 def spec_to_json(spec: DistributionSpec) -> dict:
-    """JSON-ready dictionary form of a distribution spec."""
-    if isinstance(spec, UniformCube):
-        return {"kind": "uniform_cube", "d": spec.d, "side": spec.side}
-    if isinstance(spec, Gaussian):
-        return {"kind": "gaussian", "mean": spec.mean.tolist(), "cov": spec.cov.tolist()}
-    if isinstance(spec, Wireframe3D):
-        return {"kind": "wireframe3d", "shape": spec.shape_id, "axes": list(spec.axes)}
-    if isinstance(spec, Product):
-        return {"kind": "product", "parts": [spec_to_json(part) for part in spec.parts]}
+    """JSON-ready dictionary form of a distribution spec: its ``kind``, then its fields."""
+    for kind, cls in _KINDS.items():
+        if isinstance(spec, cls):
+            parts = [spec_to_json(part) for part in spec.parts] if cls is Product else None
+            return {"kind": kind, **_json_form(spec, parts=parts)}
     raise ValueError(f"unsupported spec {spec!r}")
 
 
-# The keys of each distribution kind's JSON form besides ``kind``.
-_JSON_KEYS = {"uniform_cube": {"d", "side"}, "gaussian": {"mean", "cov"},
-              "wireframe3d": {"shape", "axes"}, "product": {"parts"}}
-
-
-def check_json_keys(obj: dict, known, what: str) -> None:
-    """Reject a JSON object with a key outside ``known``, naming the key."""
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise DataFormatError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 def spec_from_json(obj) -> DistributionSpec:
-    """Parse a distribution spec from its JSON dictionary form; unknown keys are errors."""
+    """Parse a distribution spec from its JSON dictionary form; unknown keys are errors.
+
+    A ``gaussian`` without ``cov`` is the ``(d, rho)`` shorthand.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DataFormatError("distribution spec must be an object with a 'kind' field")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+    form = dict(obj)
+    kind = form.pop("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DataFormatError(f"unknown distribution kind {kind!r}")
-    check_json_keys(obj, _JSON_KEYS[kind] | {"kind"}, f"{kind} distribution")
-    try:
-        if kind == "uniform_cube":
-            return UniformCube(d=obj["d"], side=obj.get("side", 1.0))
-        if kind == "gaussian":
-            return Gaussian(mean=obj["mean"], cov=obj["cov"])
-        if kind == "wireframe3d":
-            return Wireframe3D(shape_id=obj["shape"], axes=tuple(obj.get("axes", (0, 1, 2))))
-        parts = obj["parts"]
-        if not isinstance(parts, list):
-            raise DataFormatError("product 'parts' must be a list")
-        return Product(parts=tuple(spec_from_json(part) for part in parts))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"invalid distribution spec of kind {kind!r}: {exc}") from None
+    if kind == "gaussian" and "cov" not in form:
+        short = _from_json(_GaussianShorthand, form, "gaussian shorthand")
+        cov = np.full((short.d, short.d), short.rho)
+        np.fill_diagonal(cov, 1.0)
+        form = {"mean": np.zeros(short.d), "cov": cov}
+    return _from_json(_KINDS[kind], form, f"{kind} distribution", parts=_parts_from_json)
+
+
+def _parts_from_json(parts) -> tuple:
+    """A product's components from their JSON form, a list of distributions."""
+    if not isinstance(parts, list):
+        raise DataFormatError("product 'parts' must be a list")
+    return tuple(map(spec_from_json, parts))
 
 
 def mix(sources, a) -> PointSet:

@@ -498,9 +498,11 @@ class TestRateExperiment:
     @pytest.mark.parametrize(
         "field, value",
         [("runs", 2.5), ("runs", "3"), ("histogram", "false"),
-         ("estimators", [{"label": "a", "S": "1,2"}]), ("n_grid", [128, 64])],
+         ("estimators", [{"label": "a", "S": "1,2"}]), ("n_grid", [128, 64]),
+         ("distribution", {"kind": "gaussian", "d": 3, "rho": 1.0}),
+         ("distribution", {"kind": "gaussian", "d": 3, "rho": 1.5})],
         ids=["float-runs", "string-runs", "string-histogram", "string-estimator-S",
-             "decreasing-n_grid"],
+             "decreasing-n_grid", "singular-shorthand-rho-1", "singular-shorthand-rho-1.5"],
     )
     def test_mistyped_field_is_data_error(self, tmp_path, field, value, capsys):
         config = tmp_path / "rate.json"
@@ -608,6 +610,15 @@ class TestIsa:
         code, out, err = run_cli(["isa", "--config", str(path), "--out-dir", str(out_dir)], capsys)
         assert (code, out) == (3, "")
         assert "invalid JSON in ISA config" in err
+        assert not out_dir.exists()
+
+    def test_deeply_nested_config_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "isa.json"
+        path.write_text('{"shapes": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+        out_dir = tmp_path / "isa-out"
+        code, out, err = run_cli(["isa", "--config", str(path), "--out-dir", str(out_dir)], capsys)
+        assert (code, out) == (3, "")
+        assert f"{path}: ISA config is nested too deeply" in err
         assert not out_dir.exists()
 
     def test_config_and_paper_scale_are_exclusive(self, tmp_path, capsys):

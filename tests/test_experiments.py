@@ -53,6 +53,14 @@ class TestMiTruth:
             mi_truth(spec, 0.7)
 
 
+def _nested_products(depth):
+    """A uniform square wrapped in ``depth`` one-part products, as JSON."""
+    distribution = {"kind": "uniform_cube", "d": 2}
+    for _ in range(depth):
+        distribution = {"kind": "product", "parts": [distribution]}
+    return distribution
+
+
 class TestRateConfig:
     def test_minimal_dict_resolves_auto_truth(self):
         config = RateExperimentConfig.from_dict({"distribution": {"kind": "uniform_cube", "d": 3}})
@@ -159,11 +167,24 @@ class TestRateConfig:
                 {"distribution": {"kind": "uniform_cube", "d": 2}, "n_grid": [50, 3]},
                 "n_grid size must be an integer >= 4, got 3",
             ),
+            # A shorthand rho that makes the covariance singular, as its full form would.
+            ({"distribution": {"kind": "gaussian", "d": 3, "rho": 1.0}}, "not positive definite"),
+            ({"distribution": {"kind": "gaussian", "d": 3, "rho": 1.5}}, "not positive definite"),
+            ({"distribution": _nested_products(1000), "truth": 0.0}, "maximum recursion depth"),
         ],
     )
     def test_invalid_configs(self, obj, message):
         with pytest.raises(DataFormatError, match=message):
             RateExperimentConfig.from_dict(obj)
+
+    def test_constructor_resolves_auto_truth_by_default(self):
+        assert RateExperimentConfig(UniformCube(3)).truth == 0.0
+        gaussian = RateExperimentConfig(Gaussian(np.zeros(3), EQUI3), alpha=0.6)
+        assert gaussian.truth == gaussian_renyi_mi(EQUI3, 0.6)
+        with pytest.raises(ValueError, match='truth must be a number or "auto"'):
+            RateExperimentConfig(UniformCube(3), "later")
+        with pytest.raises(ValueError, match="no closed-form"):
+            RateExperimentConfig(Wireframe3D("spiral"))
 
     @pytest.mark.parametrize("label", ["hist", "theoretical"])
     def test_reserved_label_is_rejected(self, label):

@@ -1,5 +1,7 @@
 """Synthetic data generators and their JSON spec round-trip."""
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nnentropy import (
     spec_from_json,
     spec_to_json,
 )
+from nnentropy import samplers
 from nnentropy.samplers import spec_dim
 
 from .oracles import segment_distance
@@ -122,6 +125,47 @@ class TestJsonRoundTrip:
         restored = spec_from_json(spec_to_json(spec))
         assert np.array_equal(sample(spec, 64, seed=7).points, sample(restored, 64, seed=7).points)
 
+    def test_kind_table_covers_every_spec_class(self):
+        # A new kind is a DistributionSpec member and one _KINDS entry; each member
+        # must read back from the JSON it writes, under the kind the table gives it.
+        examples = {
+            UniformCube: UniformCube(2, side=0.5),
+            Gaussian: Gaussian(np.array([1.0, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),
+            Wireframe3D: Wireframe3D("rings", axes=(2, 0)),
+            Product: Product((Wireframe3D("zigzag", axes=(1,)), UniformCube(1))),
+        }
+        members = set(typing.get_args(samplers.DistributionSpec))
+        assert set(samplers._KINDS.values()) == members == set(examples)
+        for kind, cls in samplers._KINDS.items():
+            form = spec_to_json(examples[cls])
+            assert form["kind"] == kind
+            restored = spec_from_json(form)
+            assert type(restored) is cls
+            assert spec_to_json(restored) == form
+
+    def test_wireframe_key_is_its_field(self):
+        assert spec_to_json(Wireframe3D(shape="star")) == {
+            "kind": "wireframe3d", "shape": "star", "axes": [0, 1, 2]
+        }
+
+    def test_gaussian_shorthand_inside_a_product(self):
+        shorthand = {"kind": "gaussian", "d": 3, "rho": 0.25}
+        top = spec_from_json(shorthand)
+        cov = np.full((3, 3), 0.25)
+        np.fill_diagonal(cov, 1.0)
+        assert np.array_equal(top.mean, np.zeros(3)) and np.array_equal(top.cov, cov)
+        product = spec_from_json(
+            {"kind": "product", "parts": [{"kind": "uniform_cube", "d": 1}, shorthand]}
+        )
+        inner = product.parts[1]
+        assert isinstance(inner, Gaussian)
+        assert np.array_equal(inner.mean, top.mean) and np.array_equal(inner.cov, top.cov)
+
+    def test_missing_field_is_named(self):
+        message = r"invalid uniform_cube distribution: .*missing 1 required positional argument: 'd'"
+        with pytest.raises(DataFormatError, match=message):
+            spec_from_json({"kind": "uniform_cube"})
+
     def test_unknown_kind(self):
         with pytest.raises(DataFormatError, match="unknown distribution kind"):
             spec_from_json({"kind": "cauchy"})
@@ -133,6 +177,8 @@ class TestJsonRoundTrip:
     def test_invalid_fields_are_reported(self):
         with pytest.raises(DataFormatError, match="uniform_cube"):
             spec_from_json({"kind": "uniform_cube", "side": 1.0})
+        with pytest.raises(DataFormatError, match="product 'parts' must be a list"):
+            spec_from_json({"kind": "product", "parts": {"kind": "uniform_cube", "d": 2}})
 
     @pytest.mark.parametrize(
         "obj, message",
